@@ -20,7 +20,8 @@ import json
 from array import array
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 from typing import Any
 
 import numpy as np
@@ -203,9 +204,7 @@ class Protocol:
         for (a, b), (has_id, results) in sorted(work.items()):
             # A pair whose merged results collapse to pure identity behaves
             # like an unlisted cell and is dropped from the worklist.
-            if not results and not has_id:  # pragma: no cover - unreachable
-                continue
-            if not results and has_id:
+            if not results:
                 continue
             packed = tuple(
                 (
@@ -217,16 +216,6 @@ class Protocol:
             )
             out.append((a, b, has_id, packed))
         return tuple(out)
-
-    @cached_property
-    def _no_identity_pairs(self) -> frozenset[Pair]:
-        """Unordered pairs {a, b} whose encounter can never leave both agents
-        in place — needed to decide whether a node has a self-loop."""
-        bad = set()
-        for a, b, has_id, _ in self._cells:
-            if not has_id:
-                bad.add((a, b))
-        return frozenset(bad)
 
 
 @dataclass(frozen=True, slots=True)
@@ -345,9 +334,12 @@ def _packed_successors(
 ) -> tuple[list[int], bool]:
     """Distinct non-identity successor keys of ``key`` plus a self-loop flag.
 
-    The self-loop flag is true iff some enabled encounter admits the identity
-    result, i.e. iff the number of enabled unordered pairs exceeds the number
-    of enabled pairs that can never stay put.
+    The one successor kernel: :func:`successors` and :func:`reach` both
+    expand configurations through it.  Keys are listed in the order of their
+    first enabled cell.  The self-loop flag is true iff some enabled
+    encounter admits the identity result, i.e. iff the number of enabled
+    unordered pairs exceeds the number of enabled pairs that can never stay
+    put.
     """
     raw = key.to_bytes(num_states, "little")
     out: list[int] = []
@@ -367,10 +359,13 @@ def _packed_successors(
             if nxt not in seen:
                 seen.add(nxt)
                 out.append(nxt)
-    support = [q for q in range(num_states) if raw[q]]
-    t = len(support)
-    pairs_enabled = t * (t - 1) // 2 + sum(1 for q in support if raw[q] >= 2)
-    return out, pairs_enabled > enabled_no_id
+    support = doubled = 0
+    for v in raw:
+        if v:
+            support += 1
+            if v >= 2:
+                doubled += 1
+    return out, support * (support - 1) // 2 + doubled > enabled_no_id
 
 
 def successors(p: Protocol, c: Configuration) -> set[Configuration]:
@@ -401,9 +396,10 @@ class ReachGraph:
     Nodes are configurations indexed in BFS discovery order from the root
     ``I_n`` (index 0).  Edges are one-encounter steps, deduplicated per
     source, stored in CSR form (``indptr``/``targets``).  Strongly connected
-    components and the set of bottom (no outgoing edge) components are
-    computed eagerly: they carry the fairness analysis, because a fair run
-    settles into exactly one bottom component and visits all of it.
+    components (``scc``, ``num_sccs``) and the set of bottom (no outgoing
+    edge) components (``bottom_sccs``) are computed on first access: they
+    carry the fairness analysis, because a fair run settles into exactly one
+    bottom component and visits all of it.
     """
 
     def __init__(
@@ -424,7 +420,6 @@ class ReachGraph:
         self.indptr = indptr
         self.targets = targets
         self.occurring = occurring
-        self._compute_sccs()
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -464,36 +459,44 @@ class ReachGraph:
         data = np.ones(self.targets.shape[0], dtype=np.int8)
         return sparse.csr_matrix((data, self.targets, self.indptr), shape=(n, n))
 
-    def _compute_sccs(self) -> None:
-        n = len(self._keys)
+    @cached_property
+    def scc(self) -> np.ndarray:
+        """Strongly connected component label (int32) of every node."""
         if self.targets.shape[0] == 0:
-            self.num_sccs = n
-            self.scc = np.arange(n, dtype=np.int32)
-        else:
-            ncomp, labels = csgraph.connected_components(
-                self._csr, directed=True, connection="strong", return_labels=True
-            )
-            self.num_sccs = int(ncomp)
-            self.scc = labels.astype(np.int32, copy=False)
-        # A component is bottom iff no edge leaves it.  Scan edges in chunks
-        # to bound transient memory on large graphs.
+            return np.arange(len(self._keys), dtype=np.int32)
+        _, labels = csgraph.connected_components(
+            self._csr, directed=True, connection="strong", return_labels=True
+        )
+        return labels.astype(np.int32, copy=False)
+
+    @cached_property
+    def num_sccs(self) -> int:
+        return int(self.scc.max()) + 1
+
+    @cached_property
+    def bottom_sccs(self) -> frozenset[int]:
+        """Labels of the components that no edge leaves."""
+        # Scan edges in chunks to bound transient memory on large graphs.
         non_bottom: set[int] = set()
         out_deg = np.diff(self.indptr)
-        srcs = np.repeat(np.arange(n, dtype=np.int32), out_deg)
+        srcs = np.repeat(np.arange(len(self._keys), dtype=np.int32), out_deg)
         chunk = 8_000_000
         for lo in range(0, self.targets.shape[0], chunk):
             hi = lo + chunk
             ls = self.scc[srcs[lo:hi]]
             lt = self.scc[self.targets[lo:hi]]
             non_bottom.update(np.unique(ls[ls != lt]).tolist())
-        self.bottom_sccs = frozenset(range(self.num_sccs)) - frozenset(non_bottom)
+        return frozenset(range(self.num_sccs)) - frozenset(non_bottom)
 
 
 def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     """Breadth-first closure of :func:`successors` from ``I_n``.
 
-    Returns the complete reachability graph with SCCs and bottom SCCs
-    computed.  Raises :class:`CapExceeded` if more than ``node_cap`` nodes
+    Each node is expanded by the same kernel as :func:`successors`; its
+    edge row lists the successors in kernel order, then the node itself
+    when it has a self-loop.  Returns the complete reachability graph; its SCCs
+    and bottom SCCs are computed when first read.  Raises
+    :class:`CapExceeded` as soon as a node beyond the first ``node_cap``
     would be created — never a partial graph.
     """
     if n < 1:
@@ -505,59 +508,31 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
     nq = p.num_states
-    cells = p._cells
 
     root = n << (8 * p.q_init)
     keys: list[int] = [root]
     key_index: dict[int, int] = {root: 0}
     indptr = array("q", [0])
     targets = array("i")
-    occ = 1 << p.q_init
 
     i = 0
     while i < len(keys):
-        cur = keys[i]
-        raw = cur.to_bytes(nq, "little")
-        row: list[int] = []
-        row_seen: set[int] = set()
-        enabled_no_id = 0
-        for a, b, has_id, apps in cells:
-            ca = raw[a]
-            if a == b:
-                if ca < 2:
-                    continue
-            elif not ca or not raw[b]:
-                continue
-            if not has_id:
-                enabled_no_id += 1
-            for delta_key, c, d in apps:
-                nxt = cur + delta_key
-                j = key_index.get(nxt)
-                if j is None:
-                    j = len(keys)
-                    if j >= node_cap:
-                        raise CapExceeded(
-                            f"reachability closure of {p.name!r} at n={n} "
-                            f"exceeds node cap {node_cap}",
-                            node_cap=node_cap,
-                        )
-                    key_index[nxt] = j
-                    keys.append(nxt)
-                    occ |= (1 << c) | (1 << d)
-                if j not in row_seen:
-                    row_seen.add(j)
-                    row.append(j)
-        t = 0
-        dbl = 0
-        for q in range(nq):
-            v = raw[q]
-            if v:
-                t += 1
-                if v >= 2:
-                    dbl += 1
-        if t * (t - 1) // 2 + dbl > enabled_no_id:
-            row.append(i)  # some enabled encounter can stay put
-        targets.extend(row)
+        nxts, self_loop = _packed_successors(p, keys[i], nq)
+        for nxt in nxts:
+            j = key_index.get(nxt)
+            if j is None:
+                j = len(keys)
+                if j >= node_cap:
+                    raise CapExceeded(
+                        f"reachability closure of {p.name!r} at n={n} "
+                        f"exceeds node cap {node_cap}",
+                        node_cap=node_cap,
+                    )
+                key_index[nxt] = j
+                keys.append(nxt)
+            targets.append(j)
+        if self_loop:
+            targets.append(i)
         indptr.append(len(targets))
         i += 1
 
@@ -565,7 +540,10 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     targets_np = np.frombuffer(targets, dtype=np.int32) if len(targets) else np.empty(
         0, dtype=np.int32
     )
-    occurring = frozenset(q for q in range(nq) if occ >> q & 1)
+    # Keys add without carries, so a byte of their OR is non-zero exactly
+    # where some reachable configuration holds an agent.
+    occ = reduce(or_, keys).to_bytes(nq, "little")
+    occurring = frozenset(q for q in range(nq) if occ[q])
     return ReachGraph(p, n, keys, key_index, indptr_np, targets_np, occurring)
 
 

@@ -81,9 +81,7 @@ def run(p: Protocol, n: int, seed: int, max_steps: int = 1_000_000) -> SimReport
         return None
 
     def absorbing() -> bool:
-        for a, b, _has_id, apps in p._cells:
-            if not apps:
-                continue
+        for a, b, _has_id, _apps in p._cells:
             if a == b:
                 if counts[a] >= 2:
                     return False

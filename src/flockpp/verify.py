@@ -37,7 +37,7 @@ from .core import (
     can_reach_predicate,
     reach,
 )
-from .protocols import build_angluin, build_best, build_power_of_two, build_protocol_a, build_protocol_b, threshold_params
+from .protocols import build_best, build_power_of_two, build_protocol_a, build_protocol_b, threshold_params
 
 __all__ = [
     "Verdict",
@@ -83,8 +83,10 @@ class VerificationReport:
     """All check outcomes for one (protocol, n) pair.
 
     ``error`` is set (and every verdict is ``na``) when the reachability
-    closure exceeded the node cap; cap overruns are reported, not raised,
-    so a range sweep can continue past an oversized instance.
+    closure exceeded the node cap; ``nodes_explored`` is then the cap, the
+    number of nodes discovered before exploration stopped.  Cap overruns
+    are reported, not raised, so a range sweep can continue past an
+    oversized instance.
     """
 
     protocol_name: str
@@ -211,7 +213,7 @@ def verify_range(
                 sound=NA,
                 complete=NA,
                 consensus=NA,
-                nodes_explored=0,
+                nodes_explored=exc.node_cap,
                 bottom_scc_count=0,
                 elapsed=time.perf_counter() - t0,
                 error=str(exc),
@@ -289,7 +291,12 @@ TABLE_COLUMNS = (
 
 
 def state_count_table(d_lo: int, d_hi: int) -> list[TableRow]:
-    """Build every construction for each ``d`` and tabulate the state counts.
+    """Build the succinct constructions for each ``d`` and tabulate the state
+    counts.
+
+    The unary baseline ``angluin(d)`` has d + 1 states by definition (one,
+    ``CONV``, at d = 1), so it is counted without building its Theta(d^2)
+    rules.
 
     Each row is checked against the two bounds: ``q_best`` must not exceed
     ``floor(log2 d) + min(e, z) + 2`` and must be at least the smallest
@@ -314,7 +321,7 @@ def state_count_table(d_lo: int, d_hi: int) -> list[TableRow]:
             d=d,
             e=pr.e,
             z=pr.z,
-            q_angluin=build_angluin(d).num_states,
+            q_angluin=1 if d == 1 else d + 1,
             q_a=build_protocol_a(d).num_states,
             q_b=q_b,
             q_pow2=q_pow2,

@@ -84,6 +84,12 @@ def test_verify_node_cap_exit_3(capsys) -> None:
     out = capsys.readouterr().out
     assert "CAP EXCEEDED" in out
     assert "RESULT: incomplete" in out
+    args = ["verify", "--family", "b", "--d", "7", "--n-lo", "10", "--n-hi", "10"]
+    assert main([*args, "--node-cap", "10", "--json", "-"]) == 3
+    out = capsys.readouterr().out
+    (report,) = json.loads(out[out.index("{"): out.rindex("}") + 1])["reports"]
+    assert report["error"] is not None
+    assert report["nodes_explored"] == 10
 
 
 def test_verify_failure_exit_1_with_trace(tmp_path, capsys) -> None:

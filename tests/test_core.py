@@ -391,6 +391,8 @@ def test_random_protocols_match_reference(p: fp.Protocol, n: int) -> None:
     assert got_nodes == quotient_nodes(nodes)
     got_edges = set()
     for i in range(len(g)):
+        # The public successor function and the graph rows share one kernel.
+        assert fp.successors(p, g.config(i)) == {g.config(int(j)) for j in g.successors_of(i)}
         src = tuple(sorted(sum(([q] * c for q, c in g.config(i).counts), [])))
         for j in g.successors_of(i):
             dst = tuple(sorted(sum(([q] * c for q, c in g.config(int(j)).counts), [])))

@@ -67,7 +67,7 @@ def test_verify_range_continues_past_cap() -> None:
         assert r.error is not None
         assert not r.all_hold
         assert r.sound.status == r.complete.status == r.consensus.status == "na"
-        assert r.nodes_explored == 0
+        assert r.nodes_explored == 20  # exploration stopped at the cap
 
 
 # -- individual checks -------------------------------------------------------
@@ -231,6 +231,7 @@ def test_state_count_table_d1_has_no_upper_bound() -> None:
     (row,) = fp.state_count_table(1, 1)
     assert row.z is None
     assert row.bound_upper is None
+    assert row.q_angluin == 1
     assert row.q_best == 1
     assert row.bound_lower == 1
 
