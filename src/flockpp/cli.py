@@ -33,21 +33,17 @@ def _emit_error(kind: str, detail: str) -> None:
 
 
 def _default_node_cap() -> int:
+    """The ``FLOCKPP_NODE_CAP`` override, or the default; ``ValueError`` if malformed."""
     raw = os.environ.get("FLOCKPP_NODE_CAP")
     if raw is None:
         return core.DEFAULT_NODE_CAP
     try:
         cap = int(raw)
     except ValueError:
-        raise SystemExit(_usage_error(f"FLOCKPP_NODE_CAP is not an integer: {raw!r}"))
+        raise ValueError(f"FLOCKPP_NODE_CAP is not an integer: {raw!r}") from None
     if cap < 1:
-        raise SystemExit(_usage_error(f"FLOCKPP_NODE_CAP must be >= 1, got {cap}"))
+        raise ValueError(f"FLOCKPP_NODE_CAP must be >= 1, got {cap}")
     return cap
-
-
-def _usage_error(detail: str) -> int:
-    _emit_error("usage", detail)
-    return EXIT_USAGE
 
 
 def _write_out(text: str, path: str | None) -> None:
@@ -315,8 +311,9 @@ def _build_parser(node_cap_default: int) -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     try:
         node_cap_default = _default_node_cap()
-    except SystemExit as exc:
-        return int(exc.code) if exc.code is not None else EXIT_USAGE
+    except ValueError as exc:
+        _emit_error("usage", str(exc))
+        return EXIT_USAGE
     ap = _build_parser(node_cap_default)
     try:
         args = ap.parse_args(argv)

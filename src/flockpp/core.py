@@ -174,47 +174,37 @@ class Protocol:
 
         One entry per unordered state pair {a, b} (a <= b) whose encounter can
         do something: ``(a, b, has_identity, ((packed_delta, c, d), ...))``.
-        Results of the (b, a) cell are folded in swapped, since moving one
-        agent b->c and one a->d is the same multiset step as applying (d, c)
-        to (a, b).  ``packed_delta`` is the integer to add to a packed
+        An off-diagonal encounter happens in either order, so both
+        ``delta_of(a, b)`` and ``delta_of(b, a)`` are read: the (a, b) results
+        first, then the (b, a) results swapped, since moving one agent b->c
+        and one a->d is the same multiset step as applying (d, c) to (a, b).
+        An unlisted order reads as the identity, which sets
+        ``has_identity``.  ``packed_delta`` is the integer to add to a packed
         configuration key (one byte per state, little-endian); the add never
         borrows or carries because source counts are >= 1 and target counts
-        stay <= the population size <= 255.
+        stay <= the population size <= :data:`MAX_POPULATION`.
         """
-        nq = self.num_states
-        work: dict[Pair, tuple[bool, list[Pair]]] = {}
-        for (a, b), cell in self._delta_map.items():
-            lo, hi = (a, b) if a <= b else (b, a)
-            has_id, results = work.get((lo, hi), (False, []))
-            for c, d in cell:
-                r = (c, d) if (a, b) == (lo, hi) else (d, c)
-                if r == (lo, hi) or r == (hi, lo):
+        out = []
+        for a, b in sorted({(min(ab), max(ab)) for ab in self._delta_map}):
+            merged = self.delta_of(a, b)
+            if a != b:
+                merged += tuple((d, c) for c, d in self.delta_of(b, a))
+            has_id = False
+            results: list[Pair] = []
+            for r in merged:
+                if r == (a, b) or r == (b, a):
                     # Includes swap results (a,b)->(b,a): a multiset identity.
                     has_id = True
                 elif r not in results:
                     results.append(r)
-            work[(lo, hi)] = (has_id, results)
-        for (lo, hi), (has_id, results) in work.items():
-            # Off-diagonal encounters cover both orders; an order with no
-            # stored cell defaults to identity, so the pair can stay put.
-            if lo != hi and not has_id:
-                if (lo, hi) not in self._delta_map or (hi, lo) not in self._delta_map:
-                    work[(lo, hi)] = (True, results)
-        out = []
-        for (a, b), (has_id, results) in sorted(work.items()):
             # A pair whose merged results collapse to pure identity behaves
             # like an unlisted cell and is dropped from the worklist.
-            if not results:
-                continue
-            packed = tuple(
-                (
-                    (1 << (8 * c)) + (1 << (8 * d)) - (1 << (8 * a)) - (1 << (8 * b)),
-                    c,
-                    d,
+            if results:
+                packed = tuple(
+                    ((1 << (8 * c)) + (1 << (8 * d)) - (1 << (8 * a)) - (1 << (8 * b)), c, d)
+                    for c, d in results
                 )
-                for c, d in results
-            )
-            out.append((a, b, has_id, packed))
+                out.append((a, b, has_id, packed))
         return tuple(out)
 
 
@@ -329,6 +319,12 @@ def initial_configuration(p: Protocol, n: int) -> Configuration:
     return Configuration(counts=((p.q_init, n),), n=n)
 
 
+def _check_population(n: int) -> None:
+    """Raise ``ValueError`` unless ``1 <= n <= MAX_POPULATION``."""
+    if not 1 <= n <= MAX_POPULATION:
+        raise ValueError(f"population size {n} is outside [1, {MAX_POPULATION}]")
+
+
 def _packed_successors(
     p: Protocol, key: int, num_states: int
 ) -> tuple[list[int], bool]:
@@ -395,11 +391,12 @@ class ReachGraph:
 
     Nodes are configurations indexed in BFS discovery order from the root
     ``I_n`` (index 0).  Edges are one-encounter steps, deduplicated per
-    source, stored in CSR form (``indptr``/``targets``).  Strongly connected
-    components (``scc``, ``num_sccs``) and the set of bottom (no outgoing
-    edge) components (``bottom_sccs``) are computed on first access: they
-    carry the fairness analysis, because a fair run settles into exactly one
-    bottom component and visits all of it.
+    source, stored in CSR form (``indptr``/``targets``).  The states that
+    occur in some node (``occurring``), the strongly connected components
+    (``scc``, ``num_sccs``) and the set of bottom (no outgoing edge)
+    components (``bottom_sccs``) are computed on first access.  The
+    components carry the fairness analysis, because a fair run settles into
+    exactly one bottom component and visits all of it.
     """
 
     def __init__(
@@ -410,7 +407,6 @@ class ReachGraph:
         key_index: dict[int, int],
         indptr: np.ndarray,
         targets: np.ndarray,
-        occurring: frozenset[int],
     ):
         self.protocol = protocol
         self.n = n
@@ -419,7 +415,6 @@ class ReachGraph:
         self._key_index = key_index
         self.indptr = indptr
         self.targets = targets
-        self.occurring = occurring
 
     def __len__(self) -> int:
         return len(self._keys)
@@ -447,6 +442,15 @@ class ReachGraph:
         return self.targets[self.indptr[i] : self.indptr[i + 1]]
 
     @cached_property
+    def occurring(self) -> frozenset[int]:
+        """States that appear with positive count in some node."""
+        # Keys add without carries, so a byte of their OR is non-zero exactly
+        # where some reachable configuration holds an agent.
+        nq = self.protocol.num_states
+        occ = reduce(or_, self._keys).to_bytes(nq, "little")
+        return frozenset(q for q in range(nq) if occ[q])
+
+    @cached_property
     def counts_matrix(self) -> np.ndarray:
         """Node-by-state count matrix (uint8), one row per configuration."""
         nq = self.protocol.num_states
@@ -462,8 +466,6 @@ class ReachGraph:
     @cached_property
     def scc(self) -> np.ndarray:
         """Strongly connected component label (int32) of every node."""
-        if self.targets.shape[0] == 0:
-            return np.arange(len(self._keys), dtype=np.int32)
         _, labels = csgraph.connected_components(
             self._csr, directed=True, connection="strong", return_labels=True
         )
@@ -494,17 +496,12 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
 
     Each node is expanded by the same kernel as :func:`successors`; its
     edge row lists the successors in kernel order, then the node itself
-    when it has a self-loop.  Returns the complete reachability graph; its SCCs
-    and bottom SCCs are computed when first read.  Raises
+    when it has a self-loop.  Returns the complete reachability graph; its
+    occurring states, SCCs and bottom SCCs are computed when first read.  Raises
     :class:`CapExceeded` as soon as a node beyond the first ``node_cap``
     would be created — never a partial graph.
     """
-    if n < 1:
-        raise ValueError("population size must be >= 1")
-    if n > MAX_POPULATION:
-        raise ValueError(
-            f"population size {n} exceeds the packed-count limit {MAX_POPULATION}"
-        )
+    _check_population(n)
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
     nq = p.num_states
@@ -540,11 +537,7 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     targets_np = np.frombuffer(targets, dtype=np.int32) if len(targets) else np.empty(
         0, dtype=np.int32
     )
-    # Keys add without carries, so a byte of their OR is non-zero exactly
-    # where some reachable configuration holds an agent.
-    occ = reduce(or_, keys).to_bytes(nq, "little")
-    occurring = frozenset(q for q in range(nq) if occ[q])
-    return ReachGraph(p, n, keys, key_index, indptr_np, targets_np, occurring)
+    return ReachGraph(p, n, keys, key_index, indptr_np, targets_np)
 
 
 def occurring_states(g: ReachGraph) -> frozenset[int]:

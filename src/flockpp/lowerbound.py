@@ -24,6 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .core import DEFAULT_NODE_CAP, CapExceeded, Protocol, occurring_states, reach
+from .protocols import threshold_params
 from .verify import HOLDS, Verdict
 
 __all__ = [
@@ -156,10 +157,10 @@ def check_state_lower_bound(p: Protocol, d: int) -> Verdict:
     """Any 1-aware protocol for threshold ``d`` needs ``log2(d) + 1`` states.
 
     Checked in integers: holds iff ``2**(|Q| - 1) >= d``.  The witness on
-    failure is ``(|Q|, d)``.
+    failure is ``(|Q|, d)``.  A threshold below 1 raises
+    :class:`~flockpp.protocols.InvalidThreshold`.
     """
-    if d < 1:
-        raise ValueError("threshold must be >= 1")
+    threshold_params(d)
     if 2 ** (p.num_states - 1) >= d:
         return HOLDS
     return Verdict("fails", (p.num_states, d))

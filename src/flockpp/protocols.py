@@ -45,6 +45,10 @@ __all__ = [
 ]
 
 
+#: Encounter rules by state name, as :func:`flockpp.core.make_protocol` takes them.
+_Rules = dict[tuple[str, str], list[tuple[str, str]]]
+
+
 class InvalidThreshold(ValueError):
     """The requested threshold is outside a constructor's domain."""
 
@@ -87,18 +91,25 @@ def threshold_params(d: int) -> ThresholdParams:
     return ThresholdParams(d=d, e=len(i_list), i_list=i_list, k=k, z=len(b_list), a=a, b_list=b_list)
 
 
-def _trivial(name: str) -> Protocol:
+def _trivial(name: str, state: str) -> Protocol:
     """The d=1 protocol: every population of size >= 1 already satisfies the
     predicate, so a single accepting state with identity transitions is
     1-aware vacuously."""
     return make_protocol(
         name=name,
-        state_names=["FINAL"],
-        q_init="FINAL",
-        q1=["FINAL"],
+        state_names=[state],
+        q_init=state,
+        q1=[state],
         rules={},
         params=threshold_params(1),
     )
+
+
+def _converts(rules: _Rules, final: str, others: list[str]) -> None:
+    """``final`` converts every state in ``others`` that it meets, in either order."""
+    for q in others:
+        rules[(final, q)] = [(final, final)]
+        rules[(q, final)] = [(final, final)]
 
 
 def build_angluin(d: int) -> Protocol:
@@ -109,19 +120,11 @@ def build_angluin(d: int) -> Protocol:
     everything; when ``x + y >= d`` both convert, and ``CONV`` then spreads
     by contact.  ``Q1 = {CONV}``.
     """
-    if d < 1:
-        raise InvalidThreshold(f"threshold must be >= 1, got {d}")
+    pr = threshold_params(d)
     if d == 1:
-        return make_protocol(
-            name="angluin(d=1)",
-            state_names=["CONV"],
-            q_init="CONV",
-            q1=["CONV"],
-            rules={},
-            params=threshold_params(1),
-        )
+        return _trivial("angluin(d=1)", "CONV")
     coins = [f"COINS({x})" for x in range(d)]
-    rules: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    rules: _Rules = {}
     for x in range(d):
         for y in range(d):
             if x + y >= d:
@@ -130,16 +133,14 @@ def build_angluin(d: int) -> Protocol:
                 rules[(coins[x], coins[y])] = [(coins[x + y], coins[0])]
             elif 0 < x < y:
                 rules[(coins[x], coins[y])] = [(coins[0], coins[x + y])]
-    for q in coins:
-        rules[("CONV", q)] = [("CONV", "CONV")]
-        rules[(q, "CONV")] = [("CONV", "CONV")]
+    _converts(rules, "CONV", coins)
     return make_protocol(
         name=f"angluin(d={d})",
         state_names=coins + ["CONV"],
         q_init=coins[1],
         q1=["CONV"],
         rules=rules,
-        params=threshold_params(d),
+        params=pr,
     )
 
 
@@ -151,29 +152,26 @@ def build_power_of_two(d: int) -> Protocol:
     of ``2^(m-1)`` convert directly (their union holds ``d`` coins), and
     ``FINAL`` spreads by contact.
     """
-    if d < 1:
-        raise InvalidThreshold(f"threshold must be >= 1, got {d}")
+    pr = threshold_params(d)
     if d & (d - 1):
         raise InvalidThreshold(f"threshold {d} is not a power of two")
     if d == 1:
-        return _trivial("pow2(d=1)")
+        return _trivial("pow2(d=1)", "FINAL")
     m = d.bit_length() - 1
     nb = [f"NB({2 ** i})" for i in range(m)]
     names = nb + ["B", "FINAL"]
-    rules: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    rules: _Rules = {}
     for i in range(m - 1):
         rules[(nb[i], nb[i])] = [(nb[i + 1], "B")]
     rules[(nb[m - 1], nb[m - 1])] = [("FINAL", "FINAL")]
-    for q in names[:-1]:
-        rules[("FINAL", q)] = [("FINAL", "FINAL")]
-        rules[(q, "FINAL")] = [("FINAL", "FINAL")]
+    _converts(rules, "FINAL", names[:-1])
     return make_protocol(
         name=f"pow2(d={d})",
         state_names=names,
         q_init=nb[0],
         q1=["FINAL"],
         rules=rules,
-        params=threshold_params(d),
+        params=pr,
     )
 
 
@@ -190,17 +188,15 @@ def build_protocol_a(d: int) -> Protocol:
     pile resets the counter.  Conversion also happens when two maximal piles
     meet.  ``FINAL`` spreads by contact.
     """
-    if d < 1:
-        raise InvalidThreshold(f"threshold must be >= 1, got {d}")
-    if d == 1:
-        return _trivial("a(d=1)")
     pr = threshold_params(d)
+    if d == 1:
+        return _trivial("a(d=1)", "FINAL")
     i1 = pr.i_list[0]
     e = pr.e
     nb = {i: f"NB({2 ** i})" for i in range(i1 + 1)}
     bk = [f"B({c})" for c in range(e)]
     names = [nb[i] for i in range(i1 + 1)] + bk + ["FINAL"]
-    rules: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    rules: _Rules = {}
     for i in range(i1):
         rules[(nb[i], nb[i])] = [(nb[i + 1], bk[0])]
     rules[(nb[i1], nb[i1])] = [("FINAL", "FINAL")]
@@ -221,9 +217,7 @@ def build_protocol_a(d: int) -> Protocol:
             if r != bk[c]:
                 rules[(bk[c], nb[i])] = [(r, nb[i])]
                 rules[(nb[i], bk[c])] = [(nb[i], r)]
-    for q in names[:-1]:
-        rules[("FINAL", q)] = [("FINAL", "FINAL")]
-        rules[(q, "FINAL")] = [("FINAL", "FINAL")]
+    _converts(rules, "FINAL", names[:-1])
     return make_protocol(
         name=f"a(d={d})",
         state_names=names,
@@ -261,7 +255,7 @@ def build_protocol_b(d: int) -> Protocol:
         # Agent holding the first m overshoot summands, as a single state.
         return partial[m] if m >= 2 else nb[b_list[0]]
 
-    rules: dict[tuple[str, str], list[tuple[str, str]]] = {}
+    rules: _Rules = {}
     for i in range(k - 1):
         rules[(nb[i], nb[i])] = [(nb[i + 1], "B")]
     rules[(nb[k - 1], nb[k - 1])] = [(nb[k], coins(z))]
@@ -269,9 +263,7 @@ def build_protocol_b(d: int) -> Protocol:
     for m in range(2, z + 1):
         rules[(partial[m], "B")] = [(coins(m - 1), nb[b_list[m - 1]])]
         rules[("B", partial[m])] = [(nb[b_list[m - 1]], coins(m - 1))]
-    for q in names[:-1]:
-        rules[("FINAL", q)] = [("FINAL", "FINAL")]
-        rules[(q, "FINAL")] = [("FINAL", "FINAL")]
+    _converts(rules, "FINAL", names[:-1])
     return make_protocol(
         name=f"b(d={d})",
         state_names=names,
@@ -282,23 +274,25 @@ def build_protocol_b(d: int) -> Protocol:
     )
 
 
-def build_best(d: int) -> Protocol:
-    """The fewest-states construction available for ``d``.
-
-    Candidates: the overshoot construction (when ``d >= 3`` is not a power
-    of two), the power-of-two construction (when ``d`` is one), and the
-    binary-counting construction (always).  Ties prefer the overshoot
-    construction.
-    """
-    if d < 1:
-        raise InvalidThreshold(f"threshold must be >= 1, got {d}")
-    candidates: list[Protocol] = []
+def _constructions(d: int) -> dict[str, Protocol]:
+    """The succinct constructions that apply to ``d``, keyed by family, in
+    tie-break order: the overshoot construction (when ``d >= 3`` is not a
+    power of two), the power-of-two construction (when ``d`` is one), and
+    the binary-counting construction (always)."""
+    threshold_params(d)  # raises InvalidThreshold for d < 1
+    out: dict[str, Protocol] = {}
     if d >= 3 and d & (d - 1):
-        candidates.append(build_protocol_b(d))
+        out["b"] = build_protocol_b(d)
     if d & (d - 1) == 0:
-        candidates.append(build_power_of_two(d))
-    candidates.append(build_protocol_a(d))
-    return min(candidates, key=lambda p: p.num_states)
+        out["pow2"] = build_power_of_two(d)
+    out["a"] = build_protocol_a(d)
+    return out
+
+
+def build_best(d: int) -> Protocol:
+    """The fewest-states construction available for ``d``; ties prefer the
+    earlier one in :func:`_constructions` order (overshoot first)."""
+    return min(_constructions(d).values(), key=lambda p: p.num_states)
 
 
 #: CLI family keys, in presentation order.

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from random import Random
 
-from .core import MAX_POPULATION, Configuration, Protocol, successors
+from .core import Configuration, Protocol, _check_population, successors
 
 __all__ = ["SimReport", "run"]
 
@@ -59,10 +59,7 @@ def run(p: Protocol, n: int, seed: int, max_steps: int = 1_000_000) -> SimReport
     one has no encounters at all and reports zero steps.  Every 1000th step
     is re-validated against :func:`flockpp.core.successors`.
     """
-    if n < 1:
-        raise ValueError("population size must be >= 1")
-    if n > MAX_POPULATION:
-        raise ValueError(f"population size {n} exceeds {MAX_POPULATION}")
+    _check_population(n)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     rng = Random(seed)

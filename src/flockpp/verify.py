@@ -23,7 +23,7 @@ import csv
 import io
 import time
 from collections.abc import Callable
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass, fields
 from typing import Any
 
 import numpy as np
@@ -34,10 +34,11 @@ from .core import (
     Configuration,
     Protocol,
     ReachGraph,
+    _check_population,
     can_reach_predicate,
     reach,
 )
-from .protocols import build_best, build_power_of_two, build_protocol_a, build_protocol_b, threshold_params
+from .protocols import _constructions, threshold_params
 
 __all__ = [
     "Verdict",
@@ -84,9 +85,10 @@ class VerificationReport:
 
     ``error`` is set (and every verdict is ``na``) when the reachability
     closure exceeded the node cap; ``nodes_explored`` is then the cap, the
-    number of nodes discovered before exploration stopped.  Cap overruns
-    are reported, not raised, so a range sweep can continue past an
-    oversized instance.
+    number of nodes discovered before exploration stopped, and
+    ``bottom_scc_count`` is ``None``, since the bottom components of the
+    unexplored graph are unknown.  Cap overruns are reported, not raised,
+    so a range sweep can continue past an oversized instance.
     """
 
     protocol_name: str
@@ -96,7 +98,7 @@ class VerificationReport:
     complete: Verdict
     consensus: Verdict
     nodes_explored: int
-    bottom_scc_count: int
+    bottom_scc_count: int | None
     elapsed: float
     error: str | None = None
 
@@ -203,38 +205,25 @@ def verify_range(
     reports: list[VerificationReport] = []
     for n in range(n_lo, n_hi + 1):
         t0 = time.perf_counter()
+        sound = complete = consensus = NA
+        error = None
         try:
             g = reach(p, n, node_cap)
         except CapExceeded as exc:
-            rep = VerificationReport(
-                protocol_name=p.name,
-                d=d,
-                n=n,
-                sound=NA,
-                complete=NA,
-                consensus=NA,
-                nodes_explored=exc.node_cap,
-                bottom_scc_count=0,
-                elapsed=time.perf_counter() - t0,
-                error=str(exc),
-            )
-            reports.append(rep)
-            if progress is not None:
-                progress(rep)
-            continue
-        if n < d:
-            sound = check_soundness(p, n, graph=g)
-            complete = NA
-            consensus = check_consensus(p, 0, n, graph=g)
+            nodes, bottoms, error = exc.node_cap, None, str(exc)
         else:
-            sound = NA
-            complete = check_completeness(p, n, graph=g)
-            consensus = check_consensus(p, 1, n, graph=g)
-            if consensus.holds and not complete.holds:
-                raise RuntimeError(
-                    f"internal inconsistency for {p.name!r} at n={n}: "
-                    "stable consensus on 1 holds but completeness fails"
-                )
+            if n < d:
+                sound = check_soundness(p, n, graph=g)
+                consensus = check_consensus(p, 0, n, graph=g)
+            else:
+                complete = check_completeness(p, n, graph=g)
+                consensus = check_consensus(p, 1, n, graph=g)
+                if consensus.holds and not complete.holds:
+                    raise RuntimeError(
+                        f"internal inconsistency for {p.name!r} at n={n}: "
+                        "stable consensus on 1 holds but completeness fails"
+                    )
+            nodes, bottoms = len(g), len(g.bottom_sccs)
         rep = VerificationReport(
             protocol_name=p.name,
             d=d,
@@ -242,9 +231,10 @@ def verify_range(
             sound=sound,
             complete=complete,
             consensus=consensus,
-            nodes_explored=len(g),
-            bottom_scc_count=len(g.bottom_sccs),
+            nodes_explored=nodes,
+            bottom_scc_count=bottoms,
             elapsed=time.perf_counter() - t0,
+            error=error,
         )
         reports.append(rep)
         if progress is not None:
@@ -275,24 +265,14 @@ class TableRow:
     bound_lower: int
 
 
-#: CSV column order for :func:`table_to_csv` (stable interface).
-TABLE_COLUMNS = (
-    "d",
-    "e",
-    "z",
-    "q_angluin",
-    "q_a",
-    "q_b",
-    "q_pow2",
-    "q_best",
-    "bound_upper",
-    "bound_lower",
-)
+#: CSV column order for :func:`table_to_csv` (stable interface): the
+#: :class:`TableRow` fields.
+TABLE_COLUMNS = tuple(f.name for f in fields(TableRow))
 
 
 def state_count_table(d_lo: int, d_hi: int) -> list[TableRow]:
-    """Build the succinct constructions for each ``d`` and tabulate the state
-    counts.
+    """Build each succinct construction that applies to ``d`` once and
+    tabulate the state counts; ``q_best`` is the smallest of them.
 
     The unary baseline ``angluin(d)`` has d + 1 states by definition (one,
     ``CONV``, at d = 1), so it is counted without building its Theta(d^2)
@@ -308,10 +288,7 @@ def state_count_table(d_lo: int, d_hi: int) -> list[TableRow]:
     rows = []
     for d in range(d_lo, d_hi + 1):
         pr = threshold_params(d)
-        power = d & (d - 1) == 0
-        q_b = None if (power or d < 3) else build_protocol_b(d).num_states
-        q_pow2 = build_power_of_two(d).num_states if power else None
-        q_best = build_best(d).num_states
+        q = {family: c.num_states for family, c in _constructions(d).items()}
         bound_lower = (d - 1).bit_length() + 1
         if pr.z is None:
             bound_upper = None
@@ -322,10 +299,10 @@ def state_count_table(d_lo: int, d_hi: int) -> list[TableRow]:
             e=pr.e,
             z=pr.z,
             q_angluin=1 if d == 1 else d + 1,
-            q_a=build_protocol_a(d).num_states,
-            q_b=q_b,
-            q_pow2=q_pow2,
-            q_best=q_best,
+            q_a=q["a"],
+            q_b=q.get("b"),
+            q_pow2=q.get("pow2"),
+            q_best=min(q.values()),
             bound_upper=bound_upper,
             bound_lower=bound_lower,
         )
@@ -342,13 +319,7 @@ def table_to_csv(rows: list[TableRow]) -> str:
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
     w.writerow(TABLE_COLUMNS)
-    for r in rows:
-        w.writerow(
-            ["" if v is None else v for v in (
-                r.d, r.e, r.z, r.q_angluin, r.q_a, r.q_b, r.q_pow2, r.q_best,
-                r.bound_upper, r.bound_lower,
-            )]
-        )
+    w.writerows(astuple(r) for r in rows)
     return buf.getvalue()
 
 
@@ -373,8 +344,7 @@ def encounter_trace(
     target is not reachable.  Intended for explaining check witnesses.
     """
     nq = p.num_states
-    if n < 1 or n > 255:
-        raise ValueError("population size out of range")
+    _check_population(n)
     root = n << (8 * p.q_init)
     want = target.packed(nq)
     keys: list[int] = [root]

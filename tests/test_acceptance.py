@@ -40,6 +40,7 @@ def _report(criterion: str, failures: list[str]) -> None:
 # -- 1: correctness sweep ----------------------------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_1_correctness_sweep() -> None:
     """Soundness below d, completeness and consensus at and above d.
 

@@ -90,6 +90,7 @@ def test_verify_node_cap_exit_3(capsys) -> None:
     (report,) = json.loads(out[out.index("{"): out.rindex("}") + 1])["reports"]
     assert report["error"] is not None
     assert report["nodes_explored"] == 10
+    assert report["bottom_sccs"] is None
 
 
 def test_verify_failure_exit_1_with_trace(tmp_path, capsys) -> None:

@@ -68,6 +68,7 @@ def test_verify_range_continues_past_cap() -> None:
         assert not r.all_hold
         assert r.sound.status == r.complete.status == r.consensus.status == "na"
         assert r.nodes_explored == 20  # exploration stopped at the cap
+        assert r.bottom_scc_count is None
 
 
 # -- individual checks -------------------------------------------------------
@@ -308,6 +309,9 @@ def test_trace_unreachable_target_raises() -> None:
     with pytest.raises(ValueError):
         # Population mismatch between n and the target.
         fp.encounter_trace(p, 7, fp.Configuration.from_pairs({fin: 6}))
+    for n in (0, fp.MAX_POPULATION + 1):
+        with pytest.raises(ValueError, match="outside"):
+            fp.encounter_trace(p, n, fp.Configuration.from_pairs({fin: 6}))
 
 
 def test_trace_respects_node_cap() -> None:
