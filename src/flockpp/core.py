@@ -17,11 +17,9 @@ relation, exponentially fewer nodes.
 from __future__ import annotations
 
 import json
-from array import array
 from collections.abc import Callable, Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property, reduce
-from operator import or_
+from functools import cached_property
 from typing import Any
 
 import numpy as np
@@ -51,8 +49,10 @@ __all__ = [
 #: giving up.  Overridable per call and, in the CLI, via FLOCKPP_NODE_CAP.
 DEFAULT_NODE_CAP = 5_000_000
 
-#: Configurations are packed one byte per state, so no single state may hold
-#: more than 255 agents.
+#: Largest population size.  Reachability graphs store state counts as uint8
+#: rows, and the scalar kernel behind :func:`successors` packs a
+#: configuration one byte per state, so no state may hold more than 255
+#: agents.
 MAX_POPULATION = 255
 
 Pair = tuple[int, int]
@@ -170,7 +170,7 @@ class Protocol:
 
     @cached_property
     def _cells(self) -> tuple[tuple[int, int, bool, tuple[tuple[int, int, int], ...]], ...]:
-        """Unordered-encounter worklist used by the reachability engine.
+        """Unordered-encounter worklist of the successor kernels.
 
         One entry per unordered state pair {a, b} (a <= b) whose encounter can
         do something: ``(a, b, has_identity, ((packed_delta, c, d), ...))``.
@@ -179,8 +179,9 @@ class Protocol:
         first, then the (b, a) results swapped, since moving one agent b->c
         and one a->d is the same multiset step as applying (d, c) to (a, b).
         An unlisted order reads as the identity, which sets
-        ``has_identity``.  ``packed_delta`` is the integer to add to a packed
-        configuration key (one byte per state, little-endian); the add never
+        ``has_identity``.  ``packed_delta`` is the integer to add to a
+        byte-packed configuration key (one byte per state, little-endian, as
+        :meth:`Configuration.packed` builds it); the add never
         borrows or carries because source counts are >= 1 and target counts
         stay <= the population size <= :data:`MAX_POPULATION`.
         """
@@ -314,8 +315,7 @@ def make_protocol(
 
 def initial_configuration(p: Protocol, n: int) -> Configuration:
     """The configuration I_n with all ``n`` agents in ``q_init``."""
-    if n < 1:
-        raise ValueError("population size must be >= 1")
+    _check_population(n)
     return Configuration(counts=((p.q_init, n),), n=n)
 
 
@@ -330,8 +330,9 @@ def _packed_successors(
 ) -> tuple[list[int], bool]:
     """Distinct non-identity successor keys of ``key`` plus a self-loop flag.
 
-    The one successor kernel: :func:`successors` and :func:`reach` both
-    expand configurations through it.  Keys are listed in the order of their
+    The scalar successor kernel behind :func:`successors`.  :func:`reach`
+    orders each edge row as this kernel lists the keys, and the tests check
+    every graph row against it.  Keys are listed in the order of their
     first enabled cell.  The self-loop flag is true iff some enabled
     encounter admits the identity result, i.e. iff the number of enabled
     unordered pairs exceeds the number of enabled pairs that can never stay
@@ -373,11 +374,11 @@ def successors(p: Protocol, c: Configuration) -> set[Configuration]:
     needs two agents.  Each result pair of ``delta(q_a, q_b)`` contributes
     the configuration with one agent moved ``q_a -> q_c`` and one
     ``q_b -> q_d``.  For ``n = 1`` there are no encounters and the result is
-    empty.
+    empty, as it is for the empty configuration.
     """
     nq = p.num_states
-    if c.n > MAX_POPULATION:
-        raise ValueError(f"population size {c.n} exceeds {MAX_POPULATION}")
+    if c.n:
+        _check_population(c.n)
     key = c.packed(nq)
     nxt_keys, self_loop = _packed_successors(p, key, nq)
     result = {Configuration.unpacked(k, nq) for k in nxt_keys}
@@ -390,11 +391,14 @@ class ReachGraph:
     """The multiset reachability graph of a protocol at population size n.
 
     Nodes are configurations indexed in BFS discovery order from the root
-    ``I_n`` (index 0).  Edges are one-encounter steps, deduplicated per
-    source, stored in CSR form (``indptr``/``targets``).  The states that
-    occur in some node (``occurring``), the strongly connected components
-    (``scc``, ``num_sccs``) and the set of bottom (no outgoing edge)
-    components (``bottom_sccs``) are computed on first access.  The
+    ``I_n`` (index 0); ``counts_matrix`` holds one uint8 row of state counts
+    per node.  Edges are one-encounter steps, deduplicated per source,
+    stored in CSR form (``indptr``/``targets``, int32 targets); a row lists
+    the successors in the order of the scalar kernel behind
+    :func:`successors`, then the node itself when it has a self-loop.  The
+    states that occur in some node (``occurring``), the strongly connected
+    components (``scc``, ``num_sccs``) and the set of bottom (no outgoing
+    edge) components (``bottom_sccs``) are computed on first access.  The
     components carry the fairness analysis, because a fair run settles into
     exactly one bottom component and visits all of it.
     """
@@ -403,40 +407,45 @@ class ReachGraph:
         self,
         protocol: Protocol,
         n: int,
-        keys: list[int],
-        key_index: dict[int, int],
+        counts_matrix: np.ndarray,
         indptr: np.ndarray,
         targets: np.ndarray,
     ):
         self.protocol = protocol
         self.n = n
         self.root = 0
-        self._keys = keys
-        self._key_index = key_index
+        self.counts_matrix = counts_matrix
         self.indptr = indptr
         self.targets = targets
 
     def __len__(self) -> int:
-        return len(self._keys)
+        return self.counts_matrix.shape[0]
 
     @property
     def num_nodes(self) -> int:
-        return len(self._keys)
+        return self.counts_matrix.shape[0]
 
     @property
     def num_edges(self) -> int:
         return int(self.targets.shape[0])
 
     def config(self, i: int) -> Configuration:
-        return Configuration.unpacked(self._keys[i], self.protocol.num_states)
+        return Configuration.from_pairs(enumerate(self.counts_matrix[i].tolist()))
 
     def configurations(self) -> Iterator[Configuration]:
-        nq = self.protocol.num_states
-        for key in self._keys:
-            yield Configuration.unpacked(key, nq)
+        for row in self.counts_matrix.tolist():
+            yield Configuration.from_pairs(enumerate(row))
 
     def index_of(self, c: Configuration) -> int | None:
-        return self._key_index.get(c.packed(self.protocol.num_states))
+        """Row of configuration ``c``, or None if it is not a node."""
+        nq = self.protocol.num_states
+        if c.n != self.n or any(q >= nq for q, _ in c.counts):
+            return None
+        row = np.zeros(nq, dtype=np.uint8)
+        for q, k in c.counts:
+            row[q] = k
+        hit = np.flatnonzero((self.counts_matrix == row).all(axis=1))
+        return int(hit[0]) if hit.size else None
 
     def successors_of(self, i: int) -> np.ndarray:
         return self.targets[self.indptr[i] : self.indptr[i + 1]]
@@ -444,22 +453,11 @@ class ReachGraph:
     @cached_property
     def occurring(self) -> frozenset[int]:
         """States that appear with positive count in some node."""
-        # Keys add without carries, so a byte of their OR is non-zero exactly
-        # where some reachable configuration holds an agent.
-        nq = self.protocol.num_states
-        occ = reduce(or_, self._keys).to_bytes(nq, "little")
-        return frozenset(q for q in range(nq) if occ[q])
-
-    @cached_property
-    def counts_matrix(self) -> np.ndarray:
-        """Node-by-state count matrix (uint8), one row per configuration."""
-        nq = self.protocol.num_states
-        buf = b"".join(k.to_bytes(nq, "little") for k in self._keys)
-        return np.frombuffer(buf, dtype=np.uint8).reshape(len(self._keys), nq)
+        return frozenset(np.flatnonzero(self.counts_matrix.any(axis=0)).tolist())
 
     @cached_property
     def _csr(self) -> sparse.csr_matrix:
-        n = len(self._keys)
+        n = len(self)
         data = np.ones(self.targets.shape[0], dtype=np.int8)
         return sparse.csr_matrix((data, self.targets, self.indptr), shape=(n, n))
 
@@ -481,7 +479,7 @@ class ReachGraph:
         # Scan edges in chunks to bound transient memory on large graphs.
         non_bottom: set[int] = set()
         out_deg = np.diff(self.indptr)
-        srcs = np.repeat(np.arange(len(self._keys), dtype=np.int32), out_deg)
+        srcs = np.repeat(np.arange(len(self), dtype=np.int32), out_deg)
         chunk = 8_000_000
         for lo in range(0, self.targets.shape[0], chunk):
             hi = lo + chunk
@@ -491,53 +489,280 @@ class ReachGraph:
         return frozenset(range(self.num_sccs)) - frozenset(non_bottom)
 
 
+# -- array-native exploration ------------------------------------------------
+#
+# A configuration is packed into W uint64 limbs: each state count is a field
+# of ``bits = n_max.bit_length()`` bits, ``64 // bits`` fields to a limb.  A
+# cell result adds one delta per limb.  Every field stays in [0, n_max] before
+# and after, so the wrapping uint64 add is exact and no carry or borrow
+# crosses a field or a limb.
+
+
+_SHIFT = np.uint64(32)
+_ODD = np.uint64(0x9E3779B97F4A7C15)
+
+
+def _fingerprint(limbs: np.ndarray) -> np.ndarray:
+    """A 64-bit fingerprint of each row of packed limbs.
+
+    With one limb the fingerprint is the key itself.  Wider keys are folded
+    in limb by limb (xor-shift, multiply by an odd constant, xor the next
+    limb), so unequal keys may share a fingerprint; the search confirms
+    every fingerprint match on the full limbs.
+    """
+    fp = limbs[:, 0]
+    for w in range(1, limbs.shape[1]):
+        fp = ((fp ^ (fp >> _SHIFT)) * _ODD) ^ limbs[:, w]
+    return fp
+
+
+def _group_keys(keys: np.ndarray, fps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order of packed ``keys`` that makes equal keys adjacent,
+    and for each sorted position after the first whether its key differs
+    from the one before.
+
+    The order is by fingerprint ``fps``; only when unequal keys share a
+    fingerprint does it sort by the limbs within each fingerprint too.
+    """
+    order = fps.argsort(kind="stable")
+    sfp = fps[order]
+    skey = keys[order]
+    fresh = np.logical_or.reduce(skey[1:] != skey[:-1], axis=1)
+    if np.count_nonzero(fresh) != np.count_nonzero(sfp[1:] != sfp[:-1]):
+        order = np.lexsort((*keys.T[::-1], fps))
+        skey = keys[order]
+        fresh = np.logical_or.reduce(skey[1:] != skey[:-1], axis=1)
+    return order, fresh
+
+
+#: Frontier rows expanded at once.  A row makes one candidate per enabled
+#: cell result, and a candidate holds about 70 bytes of transients.  Fewer
+#: rows lower the peak memory of wide levels, but every block merges its new
+#: nodes into the whole visited set.
+_BLOCK_ROWS = 1 << 15
+
+
+class _LevelSearch:
+    """Level-synchronous breadth-first search from the roots ``I_s``.
+
+    The frontier is a level of configurations as packed limbs (``lim``) and
+    uint8 count rows (``cnt``).  :meth:`expand` replaces it by the next
+    level: the configurations one encounter away that no earlier level or
+    earlier candidate of this level holds, numbered in the order they first
+    appear among the candidates.  Candidates are ordered by frontier row,
+    then cell, then result, so the numbering is the discovery order of a
+    sequential BFS that expands nodes through the scalar kernel.  Visited
+    nodes are kept as sorted fingerprints with node ids, and their limbs by
+    id.
+    """
+
+    def __init__(self, p: Protocol, n_max: int, sizes: Sequence[int]):
+        nq = p.num_states
+        bits = n_max.bit_length()
+        per = 64 // bits
+        width = -(-nq // per)
+        cells = p._cells
+        self.cell_a = np.array([a for a, _, _, _ in cells], dtype=np.intp)
+        self.cell_b = np.array([b for _, b, _, _ in cells], dtype=np.intp)
+        # A diagonal cell needs two agents of its state, any other one of each.
+        self.cell_min = (self.cell_a == self.cell_b).astype(np.uint8)
+        self.cell_no_id = np.array([not has_id for _, _, has_id, _ in cells], dtype=bool)
+        # One row (cell, a, b, c, d) per cell result, in kernel order.
+        apps = np.array(
+            [(i, a, b, c, d) for i, (a, b, _, res) in enumerate(cells) for _, c, d in res],
+            dtype=np.intp,
+        ).reshape(-1, 5)
+        self.app_cell = apps[:, 0]
+        step = np.zeros((len(apps), per * width), dtype=np.int64)
+        rows = np.arange(len(apps))
+        for col, sign in ((1, -1), (2, -1), (3, 1), (4, 1)):
+            np.add.at(step, (rows, apps[:, col]), sign)
+        # Negative steps wrap modulo 2**8 and 2**64, which the adds undo.
+        self.app_counts = step[:, :nq].astype(np.uint8)
+        shift = (np.arange(per) * bits).astype(np.uint64)
+        fields = step.astype(np.uint64).reshape(-1, width, per) << shift
+        self.app_limbs = fields.sum(axis=2, dtype=np.uint64)
+
+        sizes = np.asarray(sizes, dtype=np.uint64)
+        self.lim = np.zeros((len(sizes), width), dtype=np.uint64)
+        self.lim[:, p.q_init // per] = sizes << np.uint64(p.q_init % per * bits)
+        self.cnt = np.zeros((len(sizes), nq), dtype=np.uint8)
+        self.cnt[:, p.q_init] = sizes
+        self.num_nodes = len(sizes)
+        self._limbs = self.lim.copy()  # limbs by node id; rows past num_nodes are spare
+        fps = _fingerprint(self.lim)
+        order = np.argsort(fps, kind="stable")
+        self._fps = fps[order]
+        self._ids = order.astype(np.int32)
+
+    def expand(self, edges: bool) -> tuple[np.ndarray, ...]:
+        """Replace the frontier by the next level.
+
+        The frontier is expanded in blocks of at most :data:`_BLOCK_ROWS`
+        rows, in order, which bounds the per-candidate transients on wide
+        levels.  Each block sees the nodes that the blocks before it found,
+        so the numbering does not depend on the block size.
+
+        Returns ``(new_from,)``: the frontier row each new node was first
+        reached from.  With ``edges`` it returns ``(new_from, degree,
+        targets, no_id)`` instead: the number of edges of each frontier
+        row, the target node ids of all edges, grouped by row in kernel
+        order, and the number of enabled cells of each frontier row that
+        cannot leave it unchanged.
+        """
+        parts = [self._expand_block(lo, edges) for lo in range(0, len(self.cnt), _BLOCK_ROWS)]
+        joined = [col[0] if len(col) == 1 else np.concatenate(col) for col in zip(*parts)]
+        self.lim, self.cnt = joined[:2]
+        return tuple(joined[2:])
+
+    def _expand_block(self, lo: int, edges: bool) -> tuple[np.ndarray, ...]:
+        """Expand frontier rows ``lo .. lo + _BLOCK_ROWS`` and register the
+        new nodes; returns their limbs and counts, then :meth:`expand`'s
+        columns for these rows."""
+        lim = self.lim[lo : lo + _BLOCK_ROWS]
+        cnt = self.cnt[lo : lo + _BLOCK_ROWS]
+        enabled = (cnt[:, self.cell_a] > self.cell_min) & (cnt[:, self.cell_b] > 0)
+        parent, app = np.nonzero(enabled[:, self.app_cell])
+        cand = lim[parent] + self.app_limbs[app]
+        k = len(parent)
+
+        fps = _fingerprint(cand)
+        order, fresh = _group_keys(cand, fps)
+        # One group per distinct key, in sorted order; its first member is
+        # its first appearance.
+        start = np.concatenate(((k > 0,), fresh)).nonzero()[0]
+        first = order[start]
+        gfp = fps[first]
+        gid, at = self._lookup(gfp, cand[first])
+        new = (gid < 0).nonzero()[0]
+        by_appearance = first[new].argsort()
+        gid[new[by_appearance]] = np.arange(self.num_nodes, self.num_nodes + len(new))
+        self._merge(at[new], gfp[new], gid[new])
+        new_from = first[new[by_appearance]]
+        end = self.num_nodes + len(new)
+        if end > len(self._limbs):
+            grown = np.empty((max(end, 2 * len(self._limbs)), lim.shape[1]), dtype=np.uint64)
+            grown[: self.num_nodes] = self._limbs[: self.num_nodes]
+            self._limbs = grown
+        new_lim = cand[new_from]
+        self._limbs[self.num_nodes : end] = new_lim
+        self.num_nodes = end
+        new_cnt = cnt[parent[new_from]] + self.app_counts[app[new_from]]
+        if not edges:
+            return new_lim, new_cnt, lo + parent[new_from]
+
+        # Repeats of one key from one row are adjacent within its group.
+        sparent = parent[order]
+        keep = np.ones(k, dtype=bool)
+        keep[order[1:]] = fresh | (sparent[1:] != sparent[:-1])
+        group = np.zeros(k, dtype=np.intp)
+        np.add.accumulate(fresh, dtype=np.intp, out=group[1:])
+        target = np.empty(k, dtype=np.int32)
+        target[order] = gid[group]
+        degree = np.bincount(parent[keep], minlength=len(cnt)).astype(np.int32)
+        no_id = enabled[:, self.cell_no_id].sum(axis=1, dtype=np.int32)
+        return new_lim, new_cnt, lo + parent[new_from], degree, target[keep], no_id
+
+    def prune(self, keep: np.ndarray) -> None:
+        """Drop the frontier rows where ``keep`` is false from further search."""
+        self.lim = self.lim[keep]
+        self.cnt = self.cnt[keep]
+
+    def _lookup(self, gfp: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node id of each key (-1 if unvisited), and each fingerprint's
+        insertion point in the sorted visited fingerprints."""
+        fps = self._fps
+        at = fps.searchsorted(gfp)
+        gid = np.full(len(gfp), -1, dtype=np.int64)
+        todo = (fps[np.minimum(at, len(fps) - 1)] == gfp).nonzero()[0]
+        pos = at[todo]
+        while todo.size:
+            ids = self._ids[pos]
+            hit = np.logical_and.reduce(self._limbs[ids] == keys[todo], axis=1)
+            gid[todo[hit]] = ids[hit]
+            if hit.all():
+                break
+            # A fingerprint collision: try the next visited node with the
+            # same fingerprint.
+            todo, pos = todo[~hit], pos[~hit] + 1
+            inside = pos < len(fps)
+            todo, pos = todo[inside], pos[inside]
+            same = fps[pos] == gfp[todo]
+            todo, pos = todo[same], pos[same]
+        return gid, at
+
+    def _merge(self, at: np.ndarray, fps: np.ndarray, ids: np.ndarray) -> None:
+        """Insert sorted ``fps`` with their node ids before positions ``at``."""
+        dest = at + np.arange(len(at))
+        old = np.ones(len(self._fps) + len(at), dtype=bool)
+        old[dest] = False
+        merged = np.empty(len(old), dtype=np.uint64)
+        merged[dest] = fps
+        merged[old] = self._fps
+        self._fps = merged
+        merged = np.empty(len(old), dtype=np.int32)
+        merged[dest] = ids
+        merged[old] = self._ids
+        self._ids = merged
+
+
+def _self_loops(counts: np.ndarray, no_id: np.ndarray) -> np.ndarray:
+    """Which count rows have a self-loop, given how many of their enabled
+    cells cannot leave them unchanged.
+
+    A configuration has a self-loop iff some enabled unordered pair of its
+    states can leave it unchanged, i.e. iff it has more enabled pairs than
+    enabled cells without an identity result; a pair of distinct states
+    needs one agent of each, a pair of one state two agents.
+    """
+    support = (counts > 0).sum(axis=1)
+    return support * (support - 1) // 2 + (counts > 1).sum(axis=1) > no_id
+
+
+def _cap_message(p: Protocol, n: int, node_cap: int) -> str:
+    return f"reachability closure of {p.name!r} at n={n} exceeds node cap {node_cap}"
+
+
 def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     """Breadth-first closure of :func:`successors` from ``I_n``.
 
-    Each node is expanded by the same kernel as :func:`successors`; its
-    edge row lists the successors in kernel order, then the node itself
-    when it has a self-loop.  Returns the complete reachability graph; its
-    occurring states, SCCs and bottom SCCs are computed when first read.  Raises
-    :class:`CapExceeded` as soon as a node beyond the first ``node_cap``
-    would be created — never a partial graph.
+    The search expands a whole BFS level at a time in numpy and numbers the
+    nodes exactly as a node-by-node BFS through the scalar kernel of
+    :func:`successors` would; each edge row lists the successors in kernel
+    order, then the node itself when it has a self-loop.  Returns the
+    complete reachability graph; its occurring states, SCCs and bottom SCCs
+    are computed when first read.  Raises :class:`CapExceeded` iff more
+    than ``node_cap`` nodes are reachable — never a partial graph.
     """
     _check_population(n)
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
-    nq = p.num_states
+    search = _LevelSearch(p, n, [n])
+    counts = [search.cnt]
+    degrees: list[np.ndarray] = []
+    targets: list[np.ndarray] = []
+    no_ids: list[np.ndarray] = []
+    while len(search.cnt):
+        _, degree, tgt, no_id = search.expand(edges=True)
+        degrees.append(degree)
+        targets.append(tgt)
+        no_ids.append(no_id)
+        if search.num_nodes > node_cap:
+            raise CapExceeded(_cap_message(p, n, node_cap), node_cap=node_cap)
+        counts.append(search.cnt)
 
-    root = n << (8 * p.q_init)
-    keys: list[int] = [root]
-    key_index: dict[int, int] = {root: 0}
-    indptr = array("q", [0])
-    targets = array("i")
-
-    i = 0
-    while i < len(keys):
-        nxts, self_loop = _packed_successors(p, keys[i], nq)
-        for nxt in nxts:
-            j = key_index.get(nxt)
-            if j is None:
-                j = len(keys)
-                if j >= node_cap:
-                    raise CapExceeded(
-                        f"reachability closure of {p.name!r} at n={n} "
-                        f"exceeds node cap {node_cap}",
-                        node_cap=node_cap,
-                    )
-                key_index[nxt] = j
-                keys.append(nxt)
-            targets.append(j)
-        if self_loop:
-            targets.append(i)
-        indptr.append(len(targets))
-        i += 1
-
-    indptr_np = np.frombuffer(indptr, dtype=np.int64)
-    targets_np = np.frombuffer(targets, dtype=np.int32) if len(targets) else np.empty(
-        0, dtype=np.int32
-    )
-    return ReachGraph(p, n, keys, key_index, indptr_np, targets_np)
+    del search  # the assembly below needs none of the search state
+    counts_matrix = np.concatenate(counts)
+    degree = np.concatenate(degrees)
+    loop = _self_loops(counts_matrix, np.concatenate(no_ids))
+    del counts, degrees, no_ids
+    looped = np.flatnonzero(loop).astype(np.int32)
+    target = np.concatenate(targets)
+    del targets
+    target = np.insert(target, np.cumsum(degree)[looped], looped)
+    indptr = np.zeros(len(degree) + 1, dtype=np.int64)
+    np.cumsum(degree + loop, out=indptr[1:])
+    return ReachGraph(p, n, counts_matrix, indptr, target)
 
 
 def occurring_states(g: ReachGraph) -> frozenset[int]:

@@ -23,7 +23,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import DEFAULT_NODE_CAP, CapExceeded, Protocol, occurring_states, reach
+import numpy as np
+
+from .core import (
+    DEFAULT_NODE_CAP,
+    MAX_POPULATION,
+    Protocol,
+    _cap_message,
+    _check_population,
+    _LevelSearch,
+    # Unused here since the sweep searches all sizes at once, but
+    # bench/tracer.py wraps ``lowerbound.reach`` by name, so it must resolve.
+    reach,  # noqa: F401
+)
 from .protocols import threshold_params
 from .verify import HOLDS, Verdict
 
@@ -89,6 +101,49 @@ def occurrence_upper_bounds(p: Protocol) -> dict[int, int]:
     return bound
 
 
+def _occurrence_by_size(
+    p: Protocol, n_max: int, node_cap: int
+) -> tuple[np.ndarray, np.ndarray]:
+    """Which states occur at each population size 1..n_max.
+
+    Returns ``occurs`` (bool, one row per size, row 0 unused) and ``capped``
+    (bool per size: more than ``node_cap`` nodes reachable).  No edges are
+    stored.  The sizes are searched in waves 1, 2, 3-4, 5-8, ..., one
+    breadth-first search per wave from the roots ``I_s`` of its sizes, and
+    a sweep over increasing sizes stops early, so the searches cover at
+    most twice the sizes it reads.  A size stops being searched once it is
+    capped or lies above a capped size, and so does every size above the
+    first size by which every state has occurred: the sweep never reads
+    them.  Rows of sizes no longer searched are incomplete.
+    """
+    occurs = np.zeros((n_max + 1, p.num_states), dtype=bool)
+    nodes = np.zeros(n_max + 1, dtype=np.int64)
+    capped = np.zeros(n_max + 1, dtype=bool)
+    hi = 0
+    stop = n_max + 1  # the sweep reads no size from here on
+    while hi < n_max and stop > hi + 1:
+        lo, hi = hi + 1, min(2 * hi, n_max) if hi else 1
+        size = np.arange(lo, hi + 1)
+        search = _LevelSearch(p, hi, size)
+        occurs[size, p.q_init] = True
+        nodes[size] = 1
+        while len(size):
+            (new_from,) = search.expand(edges=False)
+            size = size[new_from]
+            nodes += np.bincount(size, minlength=n_max + 1)
+            np.logical_or.at(occurs, size, search.cnt > 0)
+            capped |= nodes > node_cap
+            covered = np.logical_or.accumulate(occurs, axis=0).all(axis=1)
+            stop = min(
+                int(np.argmax(capped)) if capped.any() else n_max + 1,
+                int(np.argmax(covered)) + 1 if covered.any() else n_max + 1,
+            )
+            keep = size < stop
+            search.prune(keep)
+            size = size[keep]
+    return occurs, capped
+
+
 def occurrence_thresholds(
     p: Protocol, n_cap: int, node_cap: int = DEFAULT_NODE_CAP
 ) -> OccurrenceMap:
@@ -97,23 +152,27 @@ def occurrence_thresholds(
     Occurrence is monotone in ``n`` (a larger population can park its extra
     agents in the initial state and replay any smaller population's run, and
     every protocol here leaves ``(q, q_init)`` encounters available), so the
-    first ``n`` whose reachable set contains ``q`` is exact.  The sweep
-    stops early once every state has occurred.  If some size exceeds the
-    node cap the sweep stops there and the remaining states are reported
+    first ``n`` whose reachable set contains ``q`` is exact.  The sizes are
+    explored in a few batches, each one breadth-first search that stores no
+    edges, and the result is what a sweep over increasing sizes reads: it
+    stops early once every state has occurred, and if some size exceeds
+    the node cap it stops there and the remaining states are reported
     unknown beyond the last completed size.
     """
     if n_cap < 1:
         raise ValueError("n_cap must be >= 1")
+    if node_cap < 1:
+        raise ValueError("node_cap must be >= 1")
+    occurs, capped = _occurrence_by_size(p, min(n_cap, MAX_POPULATION), node_cap)
     values: dict[int, int] = {}
     done = 0
     cap_error: str | None = None
     for n in range(1, n_cap + 1):
-        try:
-            g = reach(p, n, node_cap)
-        except CapExceeded as exc:
-            cap_error = str(exc)
+        _check_population(n)
+        if capped[n]:
+            cap_error = _cap_message(p, n, node_cap)
             break
-        for q in occurring_states(g):
+        for q in np.flatnonzero(occurs[n]).tolist():
             values.setdefault(q, n)
         done = n
         if len(values) == p.num_states:

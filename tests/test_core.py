@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import flockpp as fp
-from oracle import agent_graph, quotient_edges, quotient_nodes
+from flockpp import core
+from oracle import agent_graph, quotient_edges, quotient_nodes, sequential_reach
 
 ALL_FAMILIES_SMALL = [
     (fam, d)
@@ -24,8 +26,12 @@ def test_initial_configuration() -> None:
     assert c.counts == ((p.q_init, 5),)
     assert c.count(p.q_init) == 5
     assert c.count(p.state_named("FINAL")) == 0
-    with pytest.raises(ValueError):
-        fp.initial_configuration(p, 0)
+    for n in (0, fp.MAX_POPULATION + 1):
+        with pytest.raises(ValueError, match=f"population size {n} is outside"):
+            fp.initial_configuration(p, n)
+    crowd = fp.Configuration.from_pairs({p.q_init: fp.MAX_POPULATION + 1})
+    with pytest.raises(ValueError, match="population size 256 is outside"):
+        fp.successors(p, crowd)
 
 
 def test_configuration_from_pairs_normalizes() -> None:
@@ -58,6 +64,7 @@ def test_successors_identity_only_is_self_loop() -> None:
 def test_successors_empty_for_single_agent() -> None:
     p = fp.build_protocol_b(7)
     assert fp.successors(p, fp.initial_configuration(p, 1)) == set()
+    assert fp.successors(p, fp.Configuration.from_pairs({})) == set()
 
 
 def test_reach_n1_single_node_no_edges() -> None:
@@ -246,8 +253,6 @@ def test_scc_matches_brute_force(fam: str, d: int, n: int) -> None:
     mask = [False] * len(g)
     for v in bottom_nodes:
         mask[v] = True
-    import numpy as np
-
     reached = fp.can_reach_predicate(g, np.array(mask))
     assert len(reached) == len(g)
 
@@ -257,8 +262,6 @@ def test_can_reach_predicate_accepts_callable_and_mask() -> None:
     g = fp.reach(p, 7)
     fin = p.state_named("FINAL")
     via_callable = fp.can_reach_predicate(g, lambda c: c.count(fin) > 0)
-    import numpy as np
-
     mask = np.array([g.config(i).count(fin) > 0 for i in range(len(g))])
     via_mask = fp.can_reach_predicate(g, mask)
     assert via_callable.tolist() == via_mask.tolist()
@@ -391,10 +394,83 @@ def test_random_protocols_match_reference(p: fp.Protocol, n: int) -> None:
     assert got_nodes == quotient_nodes(nodes)
     got_edges = set()
     for i in range(len(g)):
-        # The public successor function and the graph rows share one kernel.
+        # The scalar kernel behind successors() is a second, independent
+        # derivation of every graph row.
         assert fp.successors(p, g.config(i)) == {g.config(int(j)) for j in g.successors_of(i)}
         src = tuple(sorted(sum(([q] * c for q, c in g.config(i).counts), [])))
         for j in g.successors_of(i):
             dst = tuple(sorted(sum(([q] * c for q, c in g.config(int(j)).counts), [])))
             got_edges.add((src, dst))
     assert got_edges == quotient_edges(edges)
+
+
+#: Keeps the wide random graphs small; a draw above it must be capped by
+#: both searches.
+WIDE_NODE_CAP = 2_000
+
+
+@st.composite
+def wide_protocols(draw):
+    """9-20 states, with rules among two to four of them anywhere in the
+    state order, so that counts land in every limb of the packed keys while
+    the graphs stay small."""
+    nq = draw(st.integers(9, 20))
+    names = [f"S{i}" for i in range(nq)]
+    active = draw(st.lists(st.integers(0, nq - 1), min_size=2, max_size=4, unique=True))
+    pick = st.sampled_from(active)
+    rules = {}
+    for a in active:
+        for b in active:
+            if draw(st.booleans()):
+                cell = draw(st.lists(st.tuples(pick, pick), min_size=1, max_size=2))
+                rules[(names[a], names[b])] = [(names[c], names[d]) for c, d in cell]
+    q1 = [names[q] for q in active if draw(st.booleans())]
+    return fp.make_protocol("wide", names, names[active[0]], q1, rules, deterministic=False)
+
+
+@settings(max_examples=40)
+@given(wide_protocols(), st.sampled_from([7, 8, 15, 16, 31, 32]))
+def test_wide_protocols_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
+    # Fields are 3 bits wide at n = 7, 4 at n = 8 and 15, 5 at n = 16 and
+    # 31, and 6 at n = 32; keys then need a second limb from 17 states on
+    # (4-bit fields), 13 (5-bit) or 11 (6-bit).
+    want = sequential_reach(p, n, WIDE_NODE_CAP)
+    if want is None:
+        with pytest.raises(fp.CapExceeded):
+            fp.reach(p, n, WIDE_NODE_CAP)
+        return
+    nodes, rows = want
+    g = fp.reach(p, n, WIDE_NODE_CAP)
+    assert g.counts_matrix.tolist() == [list(c) for c in nodes]
+    assert [g.successors_of(i).tolist() for i in range(len(g))] == rows
+    for i in range(len(g)):
+        assert fp.successors(p, g.config(i)) == {g.config(int(j)) for j in g.successors_of(i)}
+
+
+#: One-limb keys, then keys of two limbs (21 states with 16 or 12 fields to
+#: a limb).
+SEARCH_CELLS = [("b", 7, 10), ("a", 7, 9), ("angluin", 20, 10), ("angluin", 20, 21)]
+
+#: Search internals that must not change a result: four fingerprints for
+#: every key, so that nearly every lookup collides, and blocks of three
+#: frontier rows.
+SEARCH_PATCHES = {
+    "collisions": ("_fingerprint", lambda limbs: limbs[:, 0] & np.uint64(3)),
+    "blocks": ("_BLOCK_ROWS", 3),
+}
+
+
+@pytest.mark.parametrize("patch", sorted(SEARCH_PATCHES))
+@pytest.mark.parametrize("fam,d,n", SEARCH_CELLS)
+def test_search_internals_leave_results_unchanged(
+    monkeypatch, patch: str, fam: str, d: int, n: int
+) -> None:
+    p = fp.build_family(fam, d)
+    g = fp.reach(p, n)
+    om = fp.occurrence_thresholds(p, d + 2)
+    monkeypatch.setattr(core, *SEARCH_PATCHES[patch])
+    h = fp.reach(p, n)
+    assert np.array_equal(h.counts_matrix, g.counts_matrix)
+    assert np.array_equal(h.indptr, g.indptr)
+    assert np.array_equal(h.targets, g.targets)
+    assert fp.occurrence_thresholds(p, d + 2) == om
