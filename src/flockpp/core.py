@@ -474,10 +474,10 @@ class ReachGraph:
         return int(self.scc.max()) + 1
 
     @cached_property
-    def bottom_sccs(self) -> frozenset[int]:
-        """Labels of the components that no edge leaves."""
+    def _bottom_mask(self) -> np.ndarray:
+        """Boolean per component label: true when no edge leaves it."""
         # Scan edges in chunks to bound transient memory on large graphs.
-        non_bottom: set[int] = set()
+        bottom = np.ones(self.num_sccs, dtype=bool)
         out_deg = np.diff(self.indptr)
         srcs = np.repeat(np.arange(len(self), dtype=np.int32), out_deg)
         chunk = 8_000_000
@@ -485,8 +485,13 @@ class ReachGraph:
             hi = lo + chunk
             ls = self.scc[srcs[lo:hi]]
             lt = self.scc[self.targets[lo:hi]]
-            non_bottom.update(np.unique(ls[ls != lt]).tolist())
-        return frozenset(range(self.num_sccs)) - frozenset(non_bottom)
+            bottom[ls[ls != lt]] = False
+        return bottom
+
+    @cached_property
+    def bottom_sccs(self) -> frozenset[int]:
+        """Labels of the components that no edge leaves."""
+        return frozenset(np.flatnonzero(self._bottom_mask).tolist())
 
 
 # -- array-native exploration ------------------------------------------------

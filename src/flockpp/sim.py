@@ -6,14 +6,23 @@ proportional to ``count(q_a) * count(q_b)``, or ``count * (count - 1)`` on
 the diagonal) and applies one uniformly chosen entry of
 ``delta(q_a, q_b)``.  Runs are reproducible: the trajectory is a pure
 function of (protocol, n, seed, max_steps).
+
+Each step consumes the generator as ``randrange(n)`` (the first agent),
+then ``randrange(n - 1)`` (the second agent, among the others), then
+``randrange(len(cell))`` only when the cell ``delta(q_a, q_b)`` has more
+than one result.  The draws are inlined as CPython's ``randrange`` makes
+them (``getrandbits(m.bit_length())``, redrawn while ``>= m``), so a seed
+gives the same trajectory as those three calls would.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from random import Random
 
-from .core import Configuration, Protocol, _check_population, successors
+from .core import Configuration, Pair, Protocol, _check_population, successors
 
 __all__ = ["SimReport", "run"]
 
@@ -58,6 +67,10 @@ def run(p: Protocol, n: int, seed: int, max_steps: int = 1_000_000) -> SimReport
     generator is not advanced through the skipped steps.  A population of
     one has no encounters at all and reports zero steps.  Every 1000th step
     is re-validated against :func:`flockpp.core.successors`.
+
+    A step draws ``randrange(n)``, then ``randrange(n - 1)``, then
+    ``randrange(len(cell))`` only on a nondeterministic cell; see the module
+    docstring.
     """
     _check_population(n)
     if max_steps < 1:
@@ -94,6 +107,21 @@ def run(p: Protocol, n: int, seed: int, max_steps: int = 1_000_000) -> SimReport
     steps_taken = 0
 
     if n >= 2:
+        # randrange(n) and randrange(n - 1), inlined as the module docstring says.
+        bits = rng.getrandbits
+        k_a, k_b, m = n.bit_length(), (n - 1).bit_length(), n - 1
+        # table[a][b] is delta_of(a, b), or None for an unlisted (identity)
+        # pair.  Rows that list no pair share one row of Nones, so a protocol
+        # with many states and few rules does not cost nq * nq entries.
+        unlisted: list[tuple[Pair, ...] | None] = [None] * nq
+        table = [unlisted] * nq
+        for a, b, cell in p.delta:
+            if table[a] is unlisted:
+                table[a] = [None] * nq
+            table[a][b] = cell
+        # ends[q] counts the agents in states 0..q; agent x is in state
+        # bisect_right(ends, x).  Rebuilt only when a step moves agents.
+        ends = list(accumulate(counts))
         stuck = absorbing()
         step = 0
         while step < max_steps and not stuck:
@@ -101,34 +129,33 @@ def run(p: Protocol, n: int, seed: int, max_steps: int = 1_000_000) -> SimReport
             check = step % SPOT_CHECK_EVERY == 0
             before = snapshot() if check else None
 
-            # Draw an ordered pair of distinct agents uniformly.
-            x = rng.randrange(n)
-            qa = 0
-            acc = counts[0]
-            while acc <= x:
-                qa += 1
-                acc += counts[qa]
-            y = rng.randrange(n - 1)
-            qb = 0
-            acc = counts[0] - (qa == 0)
-            while acc <= y:
-                qb += 1
-                acc += counts[qb] - (qa == qb)
-            cell = p.delta_of(qa, qb)
-            qc, qd = cell[0] if len(cell) == 1 else cell[rng.randrange(len(cell))]
-
-            if (qc, qd) != (qa, qb):
-                counts[qa] -= 1
-                counts[qb] -= 1
-                counts[qc] += 1
-                counts[qd] += 1
-                q1_agents += in_q1[qc] + in_q1[qd] - in_q1[qa] - in_q1[qb]
-                ever_q1 = ever_q1 or q1_agents > 0
-                new_value = unanimity()
-                if new_value != value:
-                    value = new_value
-                    value_since = step
-                stuck = absorbing()
+            # Draw an ordered pair of distinct agents uniformly: x among all n
+            # agents, then y among the n - 1 others, skipping agent x, which
+            # sits at index ends[qa] - 1 in the order that puts it last in qa.
+            x = bits(k_a)
+            while x >= n:
+                x = bits(k_a)
+            y = bits(k_b)
+            while y >= m:
+                y = bits(k_b)
+            qa = bisect_right(ends, x)
+            qb = bisect_right(ends, y if y < ends[qa] - 1 else y + 1)
+            cell = table[qa][qb]
+            if cell is not None:
+                qc, qd = cell[0] if len(cell) == 1 else cell[rng.randrange(len(cell))]
+                if qc != qa or qd != qb:
+                    counts[qa] -= 1
+                    counts[qb] -= 1
+                    counts[qc] += 1
+                    counts[qd] += 1
+                    ends = list(accumulate(counts))
+                    q1_agents += in_q1[qc] + in_q1[qd] - in_q1[qa] - in_q1[qb]
+                    ever_q1 = ever_q1 or q1_agents > 0
+                    new_value = unanimity()
+                    if new_value != value:
+                        value = new_value
+                        value_since = step
+                    stuck = absorbing()
 
             if check:
                 after = snapshot()

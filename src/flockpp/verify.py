@@ -177,9 +177,7 @@ def check_consensus(
     outside = sorted(g.protocol.q0 if r == 1 else g.protocol.q1)
     if not outside:
         return HOLDS
-    bottom = np.fromiter(g.bottom_sccs, dtype=np.int32, count=len(g.bottom_sccs))
-    in_bottom = np.isin(g.scc, bottom)
-    bad = in_bottom & (g.counts_matrix[:, outside] > 0).any(axis=1)
+    bad = g._bottom_mask[g.scc] & (g.counts_matrix[:, outside] > 0).any(axis=1)
     if not bad.any():
         return HOLDS
     return _fails(g.config(int(np.argmax(bad))))

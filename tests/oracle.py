@@ -5,12 +5,17 @@ package: configurations are agent-indexed tuples, transitions pick ordered
 pairs of agent positions, reachability is a plain set-based BFS.  The
 package's multiset engine must agree with the permutation quotient of this
 semantics exactly.  :func:`sequential_reach` is the node-by-node multiset
-BFS that fixes the engine's node numbering and edge-row order.
+BFS that fixes the engine's node numbering and edge-row order, and
+:func:`stepwise_run` is the plain simulator loop that fixes the seeded
+trajectory of :func:`flockpp.sim.run`.
 """
 
 from __future__ import annotations
 
-from flockpp import Protocol
+from random import Random
+
+from flockpp import Configuration, Protocol
+from flockpp.sim import SimReport
 
 
 def agent_graph(p: Protocol, n: int) -> tuple[set[tuple], set[tuple]]:
@@ -111,3 +116,83 @@ def sequential_reach(
             row.append(len(rows))
         rows.append(row)
     return nodes, rows
+
+
+def stepwise_run(p: Protocol, n: int, seed: int, max_steps: int) -> SimReport:
+    """The simulator loop read straight off ``randrange`` and ``delta_of``.
+
+    Each step draws ``randrange(n)`` and ``randrange(n - 1)``, finds the two
+    agents' states by linear scans over the counts (the second scan skips
+    the first agent), then draws ``randrange(len(cell))`` only when the cell
+    has several results.  Once no enabled encounter can change the multiset
+    the run stops, and the report counts the whole budget as taken.
+    ``sim.run`` must return the same report for every input.
+    """
+    rng = Random(seed)
+    nq = p.num_states
+    counts = [0] * nq
+    counts[p.q_init] = n
+    in_q1 = [q in p.q1 for q in range(nq)]
+    q1_agents = n if in_q1[p.q_init] else 0
+    ever_q1 = q1_agents > 0
+
+    def unanimity() -> int | None:
+        return 1 if q1_agents == n else 0 if q1_agents == 0 else None
+
+    def absorbing() -> bool:
+        for a in range(nq):
+            for b in range(nq):
+                if counts[a] - (a == b) < 1 or not counts[b]:
+                    continue
+                if any(r not in ((a, b), (b, a)) for r in p.delta_of(a, b)):
+                    return False
+        return True
+
+    value = unanimity()
+    value_since = 0
+    steps_taken = 0
+    if n >= 2:
+        stuck = absorbing()
+        step = 0
+        while step < max_steps and not stuck:
+            step += 1
+            x = rng.randrange(n)
+            qa = 0
+            acc = counts[0]
+            while acc <= x:
+                qa += 1
+                acc += counts[qa]
+            y = rng.randrange(n - 1)
+            qb = 0
+            acc = counts[0] - (qa == 0)
+            while acc <= y:
+                qb += 1
+                acc += counts[qb] - (qa == qb)
+            cell = p.delta_of(qa, qb)
+            qc, qd = cell[0] if len(cell) == 1 else cell[rng.randrange(len(cell))]
+            if (qc, qd) != (qa, qb):
+                counts[qa] -= 1
+                counts[qb] -= 1
+                counts[qc] += 1
+                counts[qd] += 1
+                q1_agents += in_q1[qc] + in_q1[qd] - in_q1[qa] - in_q1[qb]
+                ever_q1 = ever_q1 or q1_agents > 0
+                new_value = unanimity()
+                if new_value != value:
+                    value = new_value
+                    value_since = step
+                stuck = absorbing()
+        steps_taken = max_steps if stuck else step
+
+    return SimReport(
+        protocol_name=p.name,
+        n=n,
+        seed=seed,
+        max_steps=max_steps,
+        steps_taken=steps_taken,
+        converged=value is not None,
+        convergence_step=value_since if value is not None else None,
+        converged_value=value,
+        ever_emitted_q1=ever_q1,
+        final_configuration=Configuration.from_pairs({q: c for q, c in enumerate(counts) if c}),
+    )

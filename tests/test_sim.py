@@ -3,9 +3,19 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 import flockpp as fp
-from flockpp.sim import RNG_ALGORITHM, SPOT_CHECK_EVERY
+from flockpp.sim import RNG_ALGORITHM, SPOT_CHECK_EVERY, SimReport
+from oracle import stepwise_run
+from test_core import small_protocols
+
+#: Endlessly active: every configuration reachable with three agents has a
+#: productive encounter.
+OSC = fp.make_protocol(
+    "osc", ["X", "Y"], "X", ["X"],
+    {("X", "X"): [("X", "Y")], ("Y", "X"): [("X", "X")], ("X", "Y"): [("X", "X")]},
+)
 
 
 def test_same_seed_same_report() -> None:
@@ -86,11 +96,7 @@ def test_stuck_mixed_configuration_reports_no_convergence() -> None:
 def test_long_run_survives_spot_checks() -> None:
     # An endlessly active protocol driven well past several self-check
     # points; the run must not trip the trajectory validation.
-    osc = fp.make_protocol(
-        "osc", ["X", "Y"], "X", ["X"],
-        {("X", "X"): [("X", "Y")], ("Y", "X"): [("X", "X")], ("X", "Y"): [("X", "X")]},
-    )
-    r = fp.run(osc, 3, seed=9, max_steps=5 * SPOT_CHECK_EVERY)
+    r = fp.run(OSC, 3, seed=9, max_steps=5 * SPOT_CHECK_EVERY)
     assert r.steps_taken == 5 * SPOT_CHECK_EVERY
     assert r.final_configuration.n == 3
 
@@ -99,13 +105,9 @@ def test_unanimity_must_persist_to_count() -> None:
     # This dance passes through all-X configurations without settling; the
     # streak accounting must only report convergence if the horizon config
     # is unanimous and the streak is unbroken to the end.
-    osc = fp.make_protocol(
-        "osc", ["X", "Y"], "X", ["X"],
-        {("X", "X"): [("X", "Y")], ("Y", "X"): [("X", "X")], ("X", "Y"): [("X", "X")]},
-    )
     for seed in range(6):
-        r = fp.run(osc, 3, seed=seed, max_steps=997)
-        unanimous = r.final_configuration.unanimous_in(osc.q1) or r.final_configuration.unanimous_in(osc.q0)
+        r = fp.run(OSC, 3, seed=seed, max_steps=997)
+        unanimous = r.final_configuration.unanimous_in(OSC.q1) or r.final_configuration.unanimous_in(OSC.q0)
         assert r.converged == unanimous
         if r.converged:
             assert r.convergence_step is not None
@@ -119,3 +121,70 @@ def test_run_rejects_bad_arguments() -> None:
         fp.run(p, 256, seed=1)
     with pytest.raises(ValueError):
         fp.run(p, 3, seed=1, max_steps=0)
+
+
+# -- the seeded trajectory contract -------------------------------------------
+
+
+def test_pinned_trajectories() -> None:
+    # Literal reports of the plain randrange-and-scan loop, recorded before
+    # the loop was inlined; they fix the trajectory of a seed independently
+    # of tests/oracle.py.
+    assert fp.run(fp.build_protocol_b(7), 9, seed=1234, max_steps=20_000) == SimReport(
+        protocol_name="b(d=7)",
+        n=9,
+        seed=1234,
+        max_steps=20_000,
+        steps_taken=20_000,
+        converged=True,
+        convergence_step=102,
+        converged_value=1,
+        ever_emitted_q1=True,
+        final_configuration=fp.Configuration.from_pairs({4: 9}),
+    )
+    assert fp.run(fp.build_family("a", 250), 255, seed=2024, max_steps=100_000) == SimReport(
+        protocol_name="a(d=250)",
+        n=255,
+        seed=2024,
+        max_steps=100_000,
+        steps_taken=100_000,
+        converged=True,
+        convergence_step=0,
+        converged_value=0,
+        ever_emitted_q1=False,
+        final_configuration=fp.Configuration.from_pairs(
+            {0: 1, 1: 1, 2: 1, 3: 1, 4: 1, 5: 1, 6: 1, 7: 1, 8: 223, 9: 20, 10: 3, 11: 1}
+        ),
+    )
+
+
+#: (family, d): each family at a size where its runs neither absorb at once
+#: nor take long.
+ORACLE_FAMILIES = [("a", 13), ("b", 7), ("pow2", 16), ("angluin", 5)]
+
+
+@pytest.mark.parametrize("fam,d", ORACLE_FAMILIES)
+def test_run_matches_stepwise_oracle_on_families(fam: str, d: int) -> None:
+    p = fp.build_family(fam, d)
+    for n in sorted({2, 3, d - 1, d, d + 1, 255}):
+        for seed, budget in ((0, 2_345), (1, 999), (2, 1)):
+            assert fp.run(p, n, seed, budget) == stepwise_run(p, n, seed, budget)
+
+
+def test_run_matches_stepwise_oracle_on_small_protocols() -> None:
+    inert = fp.make_protocol("inert", ["A"], "A", [], {})
+    halfway = fp.make_protocol("halfway", ["A", "B"], "A", ["A"], {("A", "A"): [("A", "B")]})
+    for p in (inert, halfway, OSC):
+        for n in (2, 3, 5):
+            for seed in range(3):
+                budget = 3 * SPOT_CHECK_EVERY + 7
+                assert fp.run(p, n, seed, budget) == stepwise_run(p, n, seed, budget)
+
+
+@given(small_protocols(), st.integers(1, 12), st.integers(0, 2**32 - 1), st.integers(1, 2_500))
+def test_run_matches_stepwise_oracle_on_random_protocols(
+    p: fp.Protocol, n: int, seed: int, budget: int
+) -> None:
+    # Nondeterministic cells draw a third number per step, and swap results
+    # such as (a, b) -> (b, a) move no agent between states.
+    assert fp.run(p, n, seed, budget) == stepwise_run(p, n, seed, budget)
