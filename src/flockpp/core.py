@@ -50,9 +50,7 @@ __all__ = [
 DEFAULT_NODE_CAP = 5_000_000
 
 #: Largest population size.  Reachability graphs store state counts as uint8
-#: rows, and the scalar kernel behind :func:`successors` packs a
-#: configuration one byte per state, so no state may hold more than 255
-#: agents.
+#: rows, so no state may hold more than 255 agents.
 MAX_POPULATION = 255
 
 Pair = tuple[int, int]
@@ -169,21 +167,17 @@ class Protocol:
                 )
 
     @cached_property
-    def _cells(self) -> tuple[tuple[int, int, bool, tuple[tuple[int, int, int], ...]], ...]:
-        """Unordered-encounter worklist of the successor kernels.
+    def _cells(self) -> tuple[tuple[int, int, bool, tuple[Pair, ...]], ...]:
+        """Unordered-encounter worklist of the successor computations.
 
         One entry per unordered state pair {a, b} (a <= b) whose encounter can
-        do something: ``(a, b, has_identity, ((packed_delta, c, d), ...))``.
-        An off-diagonal encounter happens in either order, so both
-        ``delta_of(a, b)`` and ``delta_of(b, a)`` are read: the (a, b) results
-        first, then the (b, a) results swapped, since moving one agent b->c
-        and one a->d is the same multiset step as applying (d, c) to (a, b).
-        An unlisted order reads as the identity, which sets
-        ``has_identity``.  ``packed_delta`` is the integer to add to a
-        byte-packed configuration key (one byte per state, little-endian, as
-        :meth:`Configuration.packed` builds it); the add never
-        borrows or carries because source counts are >= 1 and target counts
-        stay <= the population size <= :data:`MAX_POPULATION`.
+        do something: ``(a, b, has_identity, ((c, d), ...))``, where applying
+        ``(c, d)`` moves one agent a->c and one b->d.  An off-diagonal
+        encounter happens in either order, so both ``delta_of(a, b)`` and
+        ``delta_of(b, a)`` are read: the (a, b) results first, then the
+        (b, a) results swapped, since moving one agent b->c and one a->d is
+        the same multiset step as applying (d, c) to (a, b).  An unlisted
+        order reads as the identity, which sets ``has_identity``.
         """
         out = []
         for a, b in sorted({(min(ab), max(ab)) for ab in self._delta_map}):
@@ -201,11 +195,7 @@ class Protocol:
             # A pair whose merged results collapse to pure identity behaves
             # like an unlisted cell and is dropped from the worklist.
             if results:
-                packed = tuple(
-                    ((1 << (8 * c)) + (1 << (8 * d)) - (1 << (8 * a)) - (1 << (8 * b)), c, d)
-                    for c, d in results
-                )
-                out.append((a, b, has_id, packed))
+                out.append((a, b, has_id, tuple(results)))
         return tuple(out)
 
 
@@ -246,22 +236,6 @@ class Configuration:
 
     def pretty(self, p: Protocol) -> str:
         return " + ".join(f"{c}*{p.display(q)}" for q, c in self.counts)
-
-    # -- packed representation used by the reachability engine ------------
-
-    def packed(self, num_states: int) -> int:
-        key = 0
-        for q, c in self.counts:
-            if c > MAX_POPULATION:
-                raise ValueError(f"count {c} exceeds {MAX_POPULATION}")
-            key += c << (8 * q)
-        return key
-
-    @staticmethod
-    def unpacked(key: int, num_states: int) -> "Configuration":
-        raw = key.to_bytes(num_states, "little")
-        counts = tuple((q, raw[q]) for q in range(num_states) if raw[q])
-        return Configuration(counts=counts, n=sum(c for _, c in counts))
 
 
 def make_protocol(
@@ -325,46 +299,6 @@ def _check_population(n: int) -> None:
         raise ValueError(f"population size {n} is outside [1, {MAX_POPULATION}]")
 
 
-def _packed_successors(
-    p: Protocol, key: int, num_states: int
-) -> tuple[list[int], bool]:
-    """Distinct non-identity successor keys of ``key`` plus a self-loop flag.
-
-    The scalar successor kernel behind :func:`successors`.  :func:`reach`
-    orders each edge row as this kernel lists the keys, and the tests check
-    every graph row against it.  Keys are listed in the order of their
-    first enabled cell.  The self-loop flag is true iff some enabled
-    encounter admits the identity result, i.e. iff the number of enabled
-    unordered pairs exceeds the number of enabled pairs that can never stay
-    put.
-    """
-    raw = key.to_bytes(num_states, "little")
-    out: list[int] = []
-    seen: set[int] = set()
-    enabled_no_id = 0
-    for a, b, has_id, apps in p._cells:
-        ca = raw[a]
-        if a == b:
-            if ca < 2:
-                continue
-        elif not ca or not raw[b]:
-            continue
-        if not has_id:
-            enabled_no_id += 1
-        for delta_key, _c, _d in apps:
-            nxt = key + delta_key  # delta_key != 0: identities filtered out
-            if nxt not in seen:
-                seen.add(nxt)
-                out.append(nxt)
-    support = doubled = 0
-    for v in raw:
-        if v:
-            support += 1
-            if v >= 2:
-                doubled += 1
-    return out, support * (support - 1) // 2 + doubled > enabled_no_id
-
-
 def successors(p: Protocol, c: Configuration) -> set[Configuration]:
     """All one-encounter successors of ``c`` (including ``c`` itself when an
     enabled encounter admits the identity result).
@@ -375,14 +309,34 @@ def successors(p: Protocol, c: Configuration) -> set[Configuration]:
     the configuration with one agent moved ``q_a -> q_c`` and one
     ``q_b -> q_d``.  For ``n = 1`` there are no encounters and the result is
     empty, as it is for the empty configuration.
+
+    This is the scalar reference for :func:`reach`: the tests check every
+    graph row against it.  ``c`` has a self-loop iff some enabled encounter
+    admits the identity result, i.e. iff the number of enabled unordered
+    pairs exceeds the number of enabled pairs that can never stay put.
     """
-    nq = p.num_states
     if c.n:
         _check_population(c.n)
-    key = c.packed(nq)
-    nxt_keys, self_loop = _packed_successors(p, key, nq)
-    result = {Configuration.unpacked(k, nq) for k in nxt_keys}
-    if self_loop:
+    counts = [0] * p.num_states
+    for q, k in c.counts:
+        counts[q] = k
+    result: set[Configuration] = set()
+    enabled_no_id = 0
+    for a, b, has_id, results in p._cells:
+        if counts[a] < 1 + (a == b) or not counts[b]:
+            continue
+        if not has_id:
+            enabled_no_id += 1
+        for x, y in results:
+            nxt = counts.copy()
+            nxt[a] -= 1
+            nxt[b] -= 1
+            nxt[x] += 1
+            nxt[y] += 1
+            result.add(Configuration(tuple((q, k) for q, k in enumerate(nxt) if k), c.n))
+    support = sum(k > 0 for k in counts)
+    doubled = sum(k > 1 for k in counts)
+    if support * (support - 1) // 2 + doubled > enabled_no_id:
         result.add(c)
     return result
 
@@ -394,8 +348,8 @@ class ReachGraph:
     ``I_n`` (index 0); ``counts_matrix`` holds one uint8 row of state counts
     per node.  Edges are one-encounter steps, deduplicated per source,
     stored in CSR form (``indptr``/``targets``, int32 targets); a row lists
-    the successors in the order of the scalar kernel behind
-    :func:`successors`, then the node itself when it has a self-loop.  The
+    the successors in the order of their first enabled cell result in
+    ``Protocol._cells``, then the node itself when it has a self-loop.  The
     states that occur in some node (``occurring``), the strongly connected
     components (``scc``, ``num_sccs``) and the set of bottom (no outgoing
     edge) components (``bottom_sccs``) are computed on first access.  The
@@ -556,9 +510,11 @@ class _LevelSearch:
     earlier candidate of this level holds, numbered in the order they first
     appear among the candidates.  Candidates are ordered by frontier row,
     then cell, then result, so the numbering is the discovery order of a
-    sequential BFS that expands nodes through the scalar kernel.  Visited
-    nodes are kept as sorted fingerprints with node ids, and their limbs by
-    id.
+    node-by-node BFS that tries each node's cell results of
+    ``Protocol._cells`` in order.  Each new node is labelled with the cell
+    result that first reached it, a row index of ``app_rule``, whose rows
+    are ``(a, b, c, d)``.  Visited nodes are kept as sorted fingerprints
+    with node ids, and their limbs by id.
     """
 
     def __init__(self, p: Protocol, n_max: int, sizes: Sequence[int]):
@@ -572,12 +528,13 @@ class _LevelSearch:
         # A diagonal cell needs two agents of its state, any other one of each.
         self.cell_min = (self.cell_a == self.cell_b).astype(np.uint8)
         self.cell_no_id = np.array([not has_id for _, _, has_id, _ in cells], dtype=bool)
-        # One row (cell, a, b, c, d) per cell result, in kernel order.
+        # One row (cell, a, b, c, d) per cell result, in cell order.
         apps = np.array(
-            [(i, a, b, c, d) for i, (a, b, _, res) in enumerate(cells) for _, c, d in res],
+            [(i, a, b, c, d) for i, (a, b, _, res) in enumerate(cells) for c, d in res],
             dtype=np.intp,
         ).reshape(-1, 5)
         self.app_cell = apps[:, 0]
+        self.app_rule = apps[:, 1:]
         step = np.zeros((len(apps), per * width), dtype=np.int64)
         rows = np.arange(len(apps))
         for col, sign in ((1, -1), (2, -1), (3, 1), (4, 1)):
@@ -608,12 +565,13 @@ class _LevelSearch:
         levels.  Each block sees the nodes that the blocks before it found,
         so the numbering does not depend on the block size.
 
-        Returns ``(new_from,)``: the frontier row each new node was first
-        reached from.  With ``edges`` it returns ``(new_from, degree,
-        targets, no_id)`` instead: the number of edges of each frontier
-        row, the target node ids of all edges, grouped by row in kernel
-        order, and the number of enabled cells of each frontier row that
-        cannot leave it unchanged.
+        Returns ``(new_from, new_app)``: the frontier row each new node was
+        first reached from, and the cell result that reached it.  With
+        ``edges`` it returns ``(new_from, new_app, degree, targets, no_id)``
+        instead: also the number of edges of each frontier row, the target
+        node ids of all edges, grouped by row in cell-result order, and the
+        number of enabled cells of each frontier row that cannot leave it
+        unchanged.
         """
         parts = [self._expand_block(lo, edges) for lo in range(0, len(self.cnt), _BLOCK_ROWS)]
         joined = [col[0] if len(col) == 1 else np.concatenate(col) for col in zip(*parts)]
@@ -653,8 +611,9 @@ class _LevelSearch:
         self._limbs[self.num_nodes : end] = new_lim
         self.num_nodes = end
         new_cnt = cnt[parent[new_from]] + self.app_counts[app[new_from]]
+        labels = (lo + parent[new_from], app[new_from])
         if not edges:
-            return new_lim, new_cnt, lo + parent[new_from]
+            return new_lim, new_cnt, *labels
 
         # Repeats of one key from one row are adjacent within its group.
         sparent = parent[order]
@@ -666,7 +625,7 @@ class _LevelSearch:
         target[order] = gid[group]
         degree = np.bincount(parent[keep], minlength=len(cnt)).astype(np.int32)
         no_id = enabled[:, self.cell_no_id].sum(axis=1, dtype=np.int32)
-        return new_lim, new_cnt, lo + parent[new_from], degree, target[keep], no_id
+        return new_lim, new_cnt, *labels, degree, target[keep], no_id
 
     def prune(self, keep: np.ndarray) -> None:
         """Drop the frontier rows where ``keep`` is false from further search."""
@@ -732,9 +691,10 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     """Breadth-first closure of :func:`successors` from ``I_n``.
 
     The search expands a whole BFS level at a time in numpy and numbers the
-    nodes exactly as a node-by-node BFS through the scalar kernel of
-    :func:`successors` would; each edge row lists the successors in kernel
-    order, then the node itself when it has a self-loop.  Returns the
+    nodes exactly as a node-by-node BFS would; each edge row lists the
+    successors in the order of their first enabled cell result, then the
+    node itself when it has a self-loop, and holds exactly the
+    configurations :func:`successors` returns.  Returns the
     complete reachability graph; its occurring states, SCCs and bottom SCCs
     are computed when first read.  Raises :class:`CapExceeded` iff more
     than ``node_cap`` nodes are reachable — never a partial graph.
@@ -748,7 +708,7 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     targets: list[np.ndarray] = []
     no_ids: list[np.ndarray] = []
     while len(search.cnt):
-        _, degree, tgt, no_id = search.expand(edges=True)
+        _, _, degree, tgt, no_id = search.expand(edges=True)
         degrees.append(degree)
         targets.append(tgt)
         no_ids.append(no_id)

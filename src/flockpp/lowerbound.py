@@ -128,7 +128,7 @@ def _occurrence_by_size(
         occurs[size, p.q_init] = True
         nodes[size] = 1
         while len(size):
-            (new_from,) = search.expand(edges=False)
+            new_from, _ = search.expand(edges=False)
             size = size[new_from]
             nodes += np.bincount(size, minlength=n_max + 1)
             np.logical_or.at(occurs, size, search.cnt > 0)

@@ -35,6 +35,7 @@ from .core import (
     Protocol,
     ReachGraph,
     _check_population,
+    _LevelSearch,
     can_reach_predicate,
     reach,
 )
@@ -338,55 +339,54 @@ def encounter_trace(
 ) -> list[TraceStep]:
     """A shortest encounter sequence from ``I_n`` to ``target``.
 
-    Re-runs the BFS with parent pointers; raises ``ValueError`` if the
-    target is not reachable.  Intended for explaining check witnesses.
+    Runs the breadth-first search of :func:`~flockpp.core.reach` without
+    edges, level by level, and stops after the level that holds the target;
+    the steps are read back along each node's first parent, the one a
+    node-by-node BFS finds first.  Each step names the ordered encounter
+    ``(a, b) -> (c, d)`` of ``delta`` that it applies.  Raises
+    :class:`CapExceeded` iff more than ``node_cap`` configurations lie
+    within the target's BFS depth (all of them when the target is
+    unreachable), which is :func:`~flockpp.core.reach`'s rule applied to
+    that ball.  Raises ``ValueError`` without searching when ``n`` is out
+    of range, ``node_cap < 1``, or the target has another population size
+    or an unknown state, and after the search when the target is not
+    reachable.  Intended for explaining check witnesses.
     """
-    nq = p.num_states
     _check_population(n)
-    root = n << (8 * p.q_init)
-    want = target.packed(nq)
-    keys: list[int] = [root]
-    index: dict[int, int] = {root: 0}
-    parent: list[int] = [-1]
-    via: list[tuple[int, int, int, int]] = [(-1, -1, -1, -1)]
-    i = 0
-    while i < len(keys):
-        cur = keys[i]
-        if cur == want:
+    if node_cap < 1:
+        raise ValueError("node_cap must be >= 1")
+    nq = p.num_states
+    if target.n != n or any(q >= nq for q, _ in target.counts):
+        raise ValueError(f"target {target} is not a configuration of {p.name!r} at n={n}")
+    want = np.zeros(nq, dtype=np.uint8)
+    for q, k in target.counts:
+        want[q] = k
+    search = _LevelSearch(p, n, [n])
+    labels: list[tuple[np.ndarray, np.ndarray]] = []
+    while True:
+        hit = (search.cnt == want).all(axis=1).nonzero()[0]
+        if hit.size:
             break
-        raw = cur.to_bytes(nq, "little")
-        for a, b, _has_id, apps in p._cells:
-            ca = raw[a]
-            if a == b:
-                if ca < 2:
-                    continue
-            elif not ca or not raw[b]:
-                continue
-            for delta_key, c, d in apps:
-                nxt = cur + delta_key
-                if nxt not in index:
-                    if len(keys) >= node_cap:
-                        raise CapExceeded(
-                            f"trace search exceeds node cap {node_cap}", node_cap=node_cap
-                        )
-                    index[nxt] = len(keys)
-                    keys.append(nxt)
-                    parent.append(i)
-                    via.append((a, b, c, d))
-        i += 1
-    if want not in index:
-        raise ValueError(f"target {target} is not reachable from I_{n}")
+        if not len(search.cnt):
+            raise ValueError(f"target {target} is not reachable from I_{n}")
+        labels.append(search.expand(edges=False))
+        if search.num_nodes > node_cap:
+            raise CapExceeded(f"trace search exceeds node cap {node_cap}", node_cap=node_cap)
+    # Walk back from the target, undoing each step's rule.
+    counts = want.tolist()
+    at = int(hit[0])
     steps: list[TraceStep] = []
-    at = index[want]
-    while at != 0:
-        a, b, c, d = via[at]
-        steps.append(
-            TraceStep(
-                pair=(p.display(a), p.display(b)),
-                result=(p.display(c), p.display(d)),
-                after=Configuration.unpacked(keys[at], nq),
-            )
-        )
-        at = parent[at]
+    for new_from, new_app in reversed(labels):
+        a, b, c, d = search.app_rule[new_app[at]].tolist()
+        after = Configuration.from_pairs(enumerate(counts))
+        if (c, d) not in p.delta_of(a, b):
+            # A result of delta(b, a), which the cell lists swapped.
+            a, b, c, d = b, a, d, c
+        steps.append(TraceStep((p.display(a), p.display(b)), (p.display(c), p.display(d)), after))
+        counts[a] += 1
+        counts[b] += 1
+        counts[c] -= 1
+        counts[d] -= 1
+        at = int(new_from[at])
     steps.reverse()
     return steps

@@ -5,9 +5,10 @@ package: configurations are agent-indexed tuples, transitions pick ordered
 pairs of agent positions, reachability is a plain set-based BFS.  The
 package's multiset engine must agree with the permutation quotient of this
 semantics exactly.  :func:`sequential_reach` is the node-by-node multiset
-BFS that fixes the engine's node numbering and edge-row order, and
-:func:`stepwise_run` is the plain simulator loop that fixes the seeded
-trajectory of :func:`flockpp.sim.run`.
+BFS that fixes the engine's node numbering and edge-row order,
+:func:`sequential_trace` the same BFS with parent pointers that fixes the
+encounter traces, and :func:`stepwise_run` is the plain simulator loop that
+fixes the seeded trajectory of :func:`flockpp.sim.run`.
 """
 
 from __future__ import annotations
@@ -116,6 +117,55 @@ def sequential_reach(
             row.append(len(rows))
         rows.append(row)
     return nodes, rows
+
+
+def sequential_trace(
+    p: Protocol, n: int, target: Configuration
+) -> list[tuple[tuple[str, str], tuple[str, str], Configuration]] | None:
+    """Shortest encounter sequence from I_n to ``target``, or None if it is
+    not reachable.
+
+    The BFS of :func:`sequential_reach`, in its encounter order, stopped
+    when the target is found.  Each node keeps the node and the ordered
+    encounter that first reached it: ``(a, b) -> (c, d)`` for a result of
+    ``delta(a, b)`` and ``(b, a) -> (c, d)`` for a result of ``delta(b, a)``.
+    Steps are ``(pair, result, after)`` with state names.
+    """
+    nq = p.num_states
+    want = tuple(target.count(q) for q in range(nq))
+    root = tuple(n if q == p.q_init else 0 for q in range(nq))
+    nodes = [root]
+    via: dict[tuple[int, ...], tuple | None] = {root: None}
+    for src in nodes:  # grows while it is walked
+        if want in via:
+            break
+        support = [q for q in range(nq) if src[q]]
+        for a in support:
+            for b in support:
+                if b < a or (a == b and src[a] < 2):
+                    continue
+                rules = [((a, b), r) for r in p.delta_of(a, b)]
+                if a != b:
+                    rules += [((b, a), r) for r in p.delta_of(b, a)]
+                for (x, y), (c, d) in rules:
+                    dst = list(src)
+                    dst[x] -= 1
+                    dst[y] -= 1
+                    dst[c] += 1
+                    dst[d] += 1
+                    if tuple(dst) not in via:
+                        via[tuple(dst)] = (src, (x, y), (c, d))
+                        nodes.append(tuple(dst))
+    if want not in via:
+        return None
+    steps = []
+    at = want
+    while via[at] is not None:
+        src, (x, y), (c, d) = via[at]
+        after = Configuration.from_pairs(enumerate(at))
+        steps.append(((p.display(x), p.display(y)), (p.display(c), p.display(d)), after))
+        at = src
+    return steps[::-1]
 
 
 def stepwise_run(p: Protocol, n: int, seed: int, max_steps: int) -> SimReport:

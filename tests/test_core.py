@@ -43,11 +43,6 @@ def test_configuration_from_pairs_normalizes() -> None:
         fp.Configuration.from_pairs({0: -1})
 
 
-def test_configuration_packed_round_trip() -> None:
-    c = fp.Configuration.from_pairs({0: 3, 2: 250, 5: 1})
-    assert fp.Configuration.unpacked(c.packed(6), 6) == c
-
-
 def test_successors_single_merge() -> None:
     # Two agents with one coin each can only merge.
     p = fp.build_protocol_b(7)
@@ -468,9 +463,12 @@ def test_search_internals_leave_results_unchanged(
     p = fp.build_family(fam, d)
     g = fp.reach(p, n)
     om = fp.occurrence_thresholds(p, d + 2)
+    targets = [g.config(i) for i in (len(g) // 2, len(g) - 1)]
+    traces = [fp.encounter_trace(p, n, t) for t in targets]
     monkeypatch.setattr(core, *SEARCH_PATCHES[patch])
     h = fp.reach(p, n)
     assert np.array_equal(h.counts_matrix, g.counts_matrix)
     assert np.array_equal(h.indptr, g.indptr)
     assert np.array_equal(h.targets, g.targets)
     assert fp.occurrence_thresholds(p, d + 2) == om
+    assert [fp.encounter_trace(p, n, t) for t in targets] == traces

@@ -2,12 +2,16 @@
 
 from __future__ import annotations
 
+import random
+
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 import flockpp as fp
 from flockpp.verify import TABLE_COLUMNS
 from mutations import MUTATIONS, build_mutant, rewrite_encounter
+from oracle import sequential_trace
+from test_core import small_protocols, wide_protocols
 
 # -- b(7) end to end ---------------------------------------------------------
 
@@ -309,13 +313,115 @@ def test_trace_unreachable_target_raises() -> None:
     with pytest.raises(ValueError):
         # Population mismatch between n and the target.
         fp.encounter_trace(p, 7, fp.Configuration.from_pairs({fin: 6}))
+    # Targets that cannot be a node, and a cap below one, are refused before
+    # any search, so even a cap of one node cannot be exceeded.
+    for target, cap in (
+        (fp.Configuration.from_pairs({fin: 6}), 1),
+        (fp.Configuration.from_pairs({fin: 6, p.num_states: 1}), 1),
+        (fp.Configuration.from_pairs({fin: 7}), 0),
+    ):
+        with pytest.raises(ValueError):
+            fp.encounter_trace(p, 7, target, node_cap=cap)
     for n in (0, fp.MAX_POPULATION + 1):
         with pytest.raises(ValueError, match="outside"):
             fp.encounter_trace(p, n, fp.Configuration.from_pairs({fin: 6}))
 
 
+def _ball(g: fp.ReachGraph, i: int) -> int:
+    """Number of nodes of ``g`` within node ``i``'s BFS depth."""
+    depth = [0] + [-1] * (len(g) - 1)
+    for v in range(len(g)):  # BFS numbering: every parent precedes its child
+        for w in g.successors_of(v).tolist():
+            if depth[w] < 0:
+                depth[w] = depth[v] + 1
+    return sum(0 <= k <= depth[i] for k in depth)
+
+
 def test_trace_respects_node_cap() -> None:
     p = fp.build_protocol_b(7)
-    fin = p.state_named("FINAL")
+    g = fp.reach(p, 7)
+    fin, b, nb1 = (p.state_named(s) for s in ("FINAL", "B", "NB(1)"))
+    # The cap bounds the nodes within the target's BFS depth: a cap equal to
+    # that ball gives the uncapped trace, one less raises.  The second
+    # target shares its depth with a node found before it, so a search that
+    # counted nodes until it reached the target would need 12 here.
+    for target, ball in (({fin: 7}, 18), ({nb1: 1, b: 3, fin: 3}, 11)):
+        target = fp.Configuration.from_pairs(target)
+        assert _ball(g, g.index_of(target)) == ball
+        full = fp.encounter_trace(p, 7, target)
+        assert fp.encounter_trace(p, 7, target, node_cap=ball) == full
+        with pytest.raises(fp.CapExceeded):
+            fp.encounter_trace(p, 7, target, node_cap=ball - 1)
     with pytest.raises(fp.CapExceeded):
         fp.encounter_trace(p, 7, fp.Configuration.from_pairs({fin: 7}), node_cap=3)
+
+
+def test_trace_names_the_ordered_rule_it_applies() -> None:
+    # Only the (Y, X) order reaches Z and W; delta(X, Y) is the identity.
+    p = fp.make_protocol(
+        "asym", ["X", "Y", "Z", "W"], "X", ["W"],
+        {("X", "X"): [("X", "Y")], ("Y", "X"): [("Z", "W")]},
+    )
+    steps = fp.encounter_trace(p, 2, fp.Configuration.from_pairs({2: 1, 3: 1}))
+    assert [(s.pair, s.result) for s in steps] == [
+        (("X", "X"), ("X", "Y")),
+        (("Y", "X"), ("Z", "W")),
+    ]
+
+
+#: Keeps the per-node trace checks below quick.
+TRACE_NODE_CAP = 150
+
+
+def _assert_traces_match_oracle(p: fp.Protocol, n: int) -> None:
+    try:
+        g = fp.reach(p, n, TRACE_NODE_CAP)
+    except fp.CapExceeded:
+        return
+    for c in g.configurations():
+        steps = fp.encounter_trace(p, n, c)
+        assert [(s.pair, s.result, s.after) for s in steps] == sequential_trace(p, n, c)
+
+
+@given(small_protocols(), st.integers(1, 4))
+def test_traces_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
+    _assert_traces_match_oracle(p, n)
+
+
+@settings(max_examples=20)
+@given(wide_protocols(), st.sampled_from([15, 16]))
+def test_wide_traces_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
+    # Keys take two limbs from 17 states at n = 15 and from 13 at n = 16.
+    _assert_traces_match_oracle(p, n)
+
+
+def _seeded_protocol(seed: int, wide: bool) -> tuple[fp.Protocol, int]:
+    """A random nondeterministic protocol and a population size: 1-7
+    states at n <= 9, or, when ``wide``, 17-20 states with rules among
+    three of them at n = 8, where keys take two limbs and counts land in
+    both.  The initial state always has a rule with itself."""
+    rng = random.Random(seed)
+    if wide:
+        nq, n = rng.randint(17, 20), 8
+        active = [0, rng.randint(1, 15), rng.randint(16, nq - 1)]
+    else:
+        nq, n = rng.randint(1, 7), rng.randint(1, 9)
+        active = list(range(nq))
+    names = [f"S{i}" for i in range(nq)]
+    rules = {}
+    for a in active:
+        for b in active:
+            if a == b == 0 or rng.random() < 0.4:
+                rules[(names[a], names[b])] = [
+                    (names[rng.choice(active)], names[rng.choice(active)])
+                    for _ in range(rng.randint(1, 2))
+                ]
+    return fp.make_protocol(f"seeded{seed}", names, "S0", [], rules, deterministic=False), n
+
+
+@pytest.mark.parametrize("wide", [False, True])
+def test_seeded_traces_match_sequential_bfs(wide: bool) -> None:
+    # The strategies above mostly draw graphs of a few nodes; these seeds
+    # give graphs of up to TRACE_NODE_CAP nodes.
+    for seed in range(20):
+        _assert_traces_match_oracle(*_seeded_protocol(seed, wide))
