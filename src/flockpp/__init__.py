@@ -18,7 +18,6 @@ from .core import (
     can_reach_predicate,
     initial_configuration,
     make_protocol,
-    occurring_states,
     protocol_from_json,
     protocol_to_json,
     reach,
@@ -71,7 +70,6 @@ __all__ = [
     "can_reach_predicate",
     "initial_configuration",
     "make_protocol",
-    "occurring_states",
     "protocol_from_json",
     "protocol_to_json",
     "reach",

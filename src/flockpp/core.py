@@ -17,7 +17,7 @@ relation, exponentially fewer nodes.
 from __future__ import annotations
 
 import json
-from collections.abc import Callable, Iterator, Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Any
@@ -39,7 +39,6 @@ __all__ = [
     "initial_configuration",
     "successors",
     "reach",
-    "occurring_states",
     "can_reach_predicate",
     "protocol_to_json",
     "protocol_from_json",
@@ -367,7 +366,6 @@ class ReachGraph:
     ):
         self.protocol = protocol
         self.n = n
-        self.root = 0
         self.counts_matrix = counts_matrix
         self.indptr = indptr
         self.targets = targets
@@ -730,29 +728,17 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     return ReachGraph(p, n, counts_matrix, indptr, target)
 
 
-def occurring_states(g: ReachGraph) -> frozenset[int]:
-    """States that appear with positive count in some reachable configuration."""
-    return g.occurring
+def can_reach_predicate(g: ReachGraph, good: np.ndarray) -> np.ndarray:
+    """Boolean node mask of the nodes from which some ``good`` node is
+    reachable (``EF good``), given ``good`` as a boolean node mask.
 
-
-def can_reach_predicate(
-    g: ReachGraph, good: Callable[[Configuration], bool] | np.ndarray
-) -> np.ndarray:
-    """Indices of nodes from which some node satisfying ``good`` is reachable.
-
-    ``good`` is a predicate on configurations; a precomputed boolean mask
-    over node indices is also accepted.  Reachability is resolved by reverse
-    BFS from all good nodes, run as layered sparse matrix-vector products so
-    large graphs stay in numpy.  Returns a sorted array of node indices
-    (every good node trivially reaches itself).
+    Every good node reaches itself.  Reachability is resolved by reverse
+    BFS from all good nodes, run as layered sparse matrix-vector products
+    so large graphs stay in numpy.  ``good`` is not modified.
     """
-    n = len(g)
-    if isinstance(good, np.ndarray):
-        mask = good.astype(bool, copy=True)
-        if mask.shape != (n,):
-            raise ValueError(f"good mask has shape {mask.shape}, expected ({n},)")
-    else:
-        mask = np.fromiter((bool(good(c)) for c in g.configurations()), bool, count=n)
+    mask = good.astype(bool, copy=True)
+    if mask.shape != (len(g),):
+        raise ValueError(f"good mask has shape {mask.shape}, expected ({len(g)},)")
     if g.num_edges:
         a = g._csr
         frontier = mask.copy()
@@ -760,7 +746,7 @@ def can_reach_predicate(
             hit = a.dot(frontier.astype(np.float32)) > 0
             frontier = hit & ~mask
             mask |= frontier
-    return np.flatnonzero(mask).astype(np.int64)
+    return mask
 
 
 # -- JSON interchange ------------------------------------------------------

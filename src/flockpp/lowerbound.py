@@ -30,7 +30,6 @@ from .core import (
     MAX_POPULATION,
     Protocol,
     _cap_message,
-    _check_population,
     _LevelSearch,
     # Unused here since the sweep searches all sizes at once, but
     # bench/tracer.py wraps ``lowerbound.reach`` by name, so it must resolve.
@@ -55,8 +54,9 @@ class OccurrenceMap:
     ``values[q]`` is the smallest population size at which state ``q``
     occurs; states absent from ``values`` are in ``unknown`` and occur first
     (if ever) beyond ``n_cap``.  When a reachability cap aborted the sweep,
-    ``cap_error`` holds the message and ``n_cap`` is the last size actually
-    completed — established values stay valid either way.
+    or the sweep reached :data:`~flockpp.core.MAX_POPULATION` with states
+    still unknown, ``cap_error`` holds the message and ``n_cap`` is the last
+    size actually completed — established values stay valid either way.
     """
 
     protocol: Protocol
@@ -157,18 +157,19 @@ def occurrence_thresholds(
     edges, and the result is what a sweep over increasing sizes reads: it
     stops early once every state has occurred, and if some size exceeds
     the node cap it stops there and the remaining states are reported
-    unknown beyond the last completed size.
+    unknown beyond the last completed size; it stops the same way at the
+    population limit :data:`~flockpp.core.MAX_POPULATION`.
     """
     if n_cap < 1:
         raise ValueError("n_cap must be >= 1")
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
-    occurs, capped = _occurrence_by_size(p, min(n_cap, MAX_POPULATION), node_cap)
+    n_max = min(n_cap, MAX_POPULATION)
+    occurs, capped = _occurrence_by_size(p, n_max, node_cap)
     values: dict[int, int] = {}
     done = 0
     cap_error: str | None = None
-    for n in range(1, n_cap + 1):
-        _check_population(n)
+    for n in range(1, n_max + 1):
         if capped[n]:
             cap_error = _cap_message(p, n, node_cap)
             break
@@ -178,6 +179,8 @@ def occurrence_thresholds(
         if len(values) == p.num_states:
             done = n_cap
             break
+    if done == n_max < n_cap:
+        cap_error = f"population limit n={MAX_POPULATION} reached with states unknown"
     fixpoint = occurrence_upper_bounds(p)
     for q, v in values.items():
         ub = fixpoint.get(q)

@@ -76,10 +76,6 @@ HOLDS = Verdict("holds")
 NA = Verdict("na")
 
 
-def _fails(witness: Any) -> Verdict:
-    return Verdict("fails", witness)
-
-
 @dataclass(frozen=True)
 class VerificationReport:
     """All check outcomes for one (protocol, n) pair.
@@ -119,11 +115,17 @@ def _graph_for(p: Protocol, n: int, node_cap: int, graph: ReachGraph | None) -> 
     return reach(p, n, node_cap)
 
 
-def _q1_mask(g: ReachGraph) -> np.ndarray:
-    cols = sorted(g.protocol.q1)
-    if not cols:
-        return np.zeros(len(g), dtype=bool)
-    return (g.counts_matrix[:, cols] > 0).any(axis=1)
+def _holding(g: ReachGraph, states: frozenset[int]) -> np.ndarray:
+    """Mask of the nodes with at least one agent in ``states``."""
+    return (g.counts_matrix[:, sorted(states)] > 0).any(axis=1)
+
+
+def _verdict(g: ReachGraph, bad: np.ndarray) -> Verdict:
+    """``holds`` when no node is ``bad``; otherwise ``fails`` with the first
+    bad node in BFS order as the witness."""
+    if not bad.any():
+        return HOLDS
+    return Verdict("fails", g.config(int(np.argmax(bad))))
 
 
 def check_soundness(
@@ -131,14 +133,11 @@ def check_soundness(
 ) -> Verdict:
     """No reachable configuration at size ``n`` contains an accepting state.
 
-    The witness on failure is the first offending configuration in BFS
-    order.
+    ``AG not Q1``: the bad nodes have a Q1 agent, and the witness on failure
+    is the first of them in BFS order.
     """
     g = _graph_for(p, n, node_cap, graph)
-    if not (g.occurring & p.q1):
-        return HOLDS
-    bad = _q1_mask(g)
-    return _fails(g.config(int(np.argmax(bad))))
+    return _verdict(g, _holding(g, p.q1))
 
 
 def check_completeness(
@@ -146,16 +145,11 @@ def check_completeness(
 ) -> Verdict:
     """Every reachable configuration can still reach an accepting one.
 
-    The witness on failure is a reachable configuration from which no
-    configuration containing a Q1 state is reachable.
+    ``AG EF Q1``: the bad nodes cannot reach a node with a Q1 agent, and the
+    witness on failure is the first of them in BFS order.
     """
     g = _graph_for(p, n, node_cap, graph)
-    good = _q1_mask(g)
-    ok = np.zeros(len(g), dtype=bool)
-    ok[can_reach_predicate(g, good)] = True
-    if ok.all():
-        return HOLDS
-    return _fails(g.config(int(np.argmin(ok))))
+    return _verdict(g, ~can_reach_predicate(g, _holding(g, p.q1)))
 
 
 def check_consensus(
@@ -169,19 +163,12 @@ def check_consensus(
 
     Checked structurally: every configuration of every bottom SCC must have
     all agents in Q1 (``r = 1``) or all in Q0 (``r = 0``).  The witness on
-    failure is a bottom-SCC configuration with an agent on the wrong side.
+    failure is the first bottom-SCC node with an agent on the wrong side.
     """
     if r not in (0, 1):
         raise ValueError(f"expected output bit must be 0 or 1, got {r}")
     g = _graph_for(p, n, node_cap, graph)
-    # All agents inside the target partition <=> zero mass outside it.
-    outside = sorted(g.protocol.q0 if r == 1 else g.protocol.q1)
-    if not outside:
-        return HOLDS
-    bad = g._bottom_mask[g.scc] & (g.counts_matrix[:, outside] > 0).any(axis=1)
-    if not bad.any():
-        return HOLDS
-    return _fails(g.config(int(np.argmax(bad))))
+    return _verdict(g, g._bottom_mask[g.scc] & _holding(g, p.q0 if r == 1 else p.q1))
 
 
 def verify_range(
@@ -222,7 +209,7 @@ def verify_range(
                         f"internal inconsistency for {p.name!r} at n={n}: "
                         "stable consensus on 1 holds but completeness fails"
                     )
-            nodes, bottoms = len(g), len(g.bottom_sccs)
+            nodes, bottoms = len(g), int(np.count_nonzero(g._bottom_mask))
         rep = VerificationReport(
             protocol_name=p.name,
             d=d,

@@ -7,8 +7,10 @@ package's multiset engine must agree with the permutation quotient of this
 semantics exactly.  :func:`sequential_reach` is the node-by-node multiset
 BFS that fixes the engine's node numbering and edge-row order,
 :func:`sequential_trace` the same BFS with parent pointers that fixes the
-encounter traces, and :func:`stepwise_run` is the plain simulator loop that
-fixes the seeded trajectory of :func:`flockpp.sim.run`.
+encounter traces, :func:`first_witnesses` reads the check verdicts and
+their first-bad-node witnesses off that BFS, and :func:`stepwise_run` is
+the plain simulator loop that fixes the seeded trajectory of
+:func:`flockpp.sim.run`.
 """
 
 from __future__ import annotations
@@ -117,6 +119,61 @@ def sequential_reach(
             row.append(len(rows))
         rows.append(row)
     return nodes, rows
+
+
+def first_witnesses(
+    p: Protocol, n: int, d: int, node_cap: int
+) -> tuple[tuple[str, Configuration | None], ...] | None:
+    """The three verdicts at size ``n`` for threshold ``d``, read off
+    :func:`sequential_reach` with plain Python closures.
+
+    Returns ``(status, witness)`` for soundness, completeness and consensus,
+    in that order: ``("na", None)`` where a check does not apply,
+    ``("holds", None)``, or ``("fails", c)`` with ``c`` the first bad node
+    in BFS order.  The bad nodes are:
+
+    * soundness (n < d): a node with a Q1 agent;
+    * completeness (n >= d): a node that cannot reach a node with a Q1 agent;
+    * consensus on 0 (n < d) or 1 (n >= d): a node in a bottom SCC, i.e.
+      one that every node it reaches can reach back, with an agent on the
+      wrong side.
+
+    Returns None when more than ``node_cap`` nodes are reachable.
+    """
+    got = sequential_reach(p, n, node_cap)
+    if got is None:
+        return None
+    nodes, rows = got
+    closure = []
+    for s in range(len(nodes)):
+        seen = {s}
+        stack = [s]
+        while stack:
+            for w in rows[stack.pop()]:
+                if w not in seen:
+                    seen.add(w)
+                    stack.append(w)
+        closure.append(seen)
+
+    def holding(i: int, states: frozenset[int]) -> bool:
+        return any(nodes[i][q] for q in states)
+
+    def bottom(i: int) -> bool:
+        return all(i in closure[j] for j in closure[i])
+
+    def first(bad) -> tuple[str, Configuration | None]:
+        i = next((i for i in range(len(nodes)) if bad(i)), None)
+        if i is None:
+            return ("holds", None)
+        return ("fails", Configuration.from_pairs(enumerate(nodes[i])))
+
+    na = ("na", None)
+    wrong = p.q1 if n < d else p.q0
+    return (
+        first(lambda i: holding(i, p.q1)) if n < d else na,
+        first(lambda i: not any(holding(j, p.q1) for j in closure[i])) if n >= d else na,
+        first(lambda i: bottom(i) and holding(i, wrong)),
+    )
 
 
 def sequential_trace(

@@ -171,6 +171,14 @@ def test_fmap_cap_exit_3(capsys) -> None:
     assert main(["fmap", "--family", "a", "--d", "7", "--node-cap", "3"]) == 3
 
 
+def test_fmap_past_population_limit_exit_3(capsys) -> None:
+    # COINS(0) never occurs in angluin(2), so the sweep runs to n = 255.
+    assert main(["fmap", "--family", "angluin", "--d", "2", "--n-cap", "300"]) == 3
+    out = capsys.readouterr().out
+    assert "f(COINS(0)) = unknown (> 255)" in out
+    assert "CAP EXCEEDED" in out and "population limit n=255" in out
+
+
 # -- sim -------------------------------------------------------------------------
 
 

@@ -4,10 +4,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import event, given, settings, strategies as st
+from hypothesis.control import currently_in_test_context
 
 import flockpp as fp
 from flockpp import core
+from mutations import MUTATIONS, build_mutant
 from oracle import agent_graph, quotient_edges, quotient_nodes, sequential_reach
 
 ALL_FAMILIES_SMALL = [
@@ -106,6 +108,23 @@ def test_reach_cap_exceeded() -> None:
     assert exc.value.node_cap == 10
 
 
+def test_reach_stops_at_the_level_that_passes_the_cap(monkeypatch) -> None:
+    # The cap bounds memory only if no level is expanded after the one that
+    # passes it.
+    sizes = []
+    expand = core._LevelSearch.expand
+
+    def counted(self, edges):
+        out = expand(self, edges)
+        sizes.append(self.num_nodes)
+        return out
+
+    monkeypatch.setattr(core._LevelSearch, "expand", counted)
+    with pytest.raises(fp.CapExceeded):
+        fp.reach(fp.build_protocol_b(7), 10, node_cap=10)
+    assert sizes[-2] <= 10 < sizes[-1]
+
+
 @pytest.mark.parametrize("fam,d", ALL_FAMILIES_SMALL)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_permutation_quotient_equivalence(fam: str, d: int, n: int) -> None:
@@ -125,7 +144,7 @@ def test_permutation_quotient_equivalence(fam: str, d: int, n: int) -> None:
     assert got_edges == quotient_edges(edges)
     # Soundness verdicts agree.
     oracle_sound = not any(any(q in p.q1 for q in cfg) for cfg in nodes)
-    assert (not (fp.occurring_states(g) & p.q1)) == oracle_sound
+    assert (not (g.occurring & p.q1)) == oracle_sound
 
 
 def test_asymmetric_protocol_supported() -> None:
@@ -197,32 +216,34 @@ def test_occurrence_monotone_in_population(fam: str, d: int) -> None:
     p = fp.build_family(fam, d)
     prev: frozenset[int] = frozenset()
     for n in range(1, d + 3):
-        occ = fp.occurring_states(fp.reach(p, n))
+        occ = fp.reach(p, n).occurring
         assert prev <= occ
         prev = occ
 
 
 def test_occurring_states_example() -> None:
     p = fp.build_protocol_a(7)
-    occ = fp.occurring_states(fp.reach(p, 2))
+    occ = fp.reach(p, 2).occurring
     assert {p.display(q) for q in occ} == {"NB(1)", "NB(2)", "B(0)"}
 
 
+def _closure(g: fp.ReachGraph, s: int) -> set[int]:
+    """Nodes reachable from node ``s`` (itself included), by plain DFS."""
+    seen = {s}
+    stack = [s]
+    while stack:
+        v = stack.pop()
+        for w in g.successors_of(v).tolist():
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
 def _brute_scc_partition(g: fp.ReachGraph) -> set[frozenset[int]]:
-    # Mutual reachability by per-node BFS; fine for tiny graphs.
+    # Mutual reachability by per-node DFS; fine for tiny graphs.
     n = len(g)
-    reach_sets = []
-    for s in range(n):
-        seen = {s}
-        stack = [s]
-        while stack:
-            v = stack.pop()
-            for w in g.successors_of(v):
-                w = int(w)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        reach_sets.append(seen)
+    reach_sets = [_closure(g, s) for s in range(n)]
     comps = {}
     for v in range(n):
         key = frozenset(u for u in reach_sets[v] if v in reach_sets[u])
@@ -244,23 +265,26 @@ def test_scc_matches_brute_force(fam: str, d: int, n: int) -> None:
             if int(g.scc[v]) in g.bottom_sccs:
                 assert g.scc[int(w)] == g.scc[v]
     # ...and every node can reach one.
-    bottom_nodes = [v for v in range(len(g)) if int(g.scc[v]) in g.bottom_sccs]
-    mask = [False] * len(g)
-    for v in bottom_nodes:
-        mask[v] = True
-    reached = fp.can_reach_predicate(g, np.array(mask))
-    assert len(reached) == len(g)
+    bottom = np.array([int(g.scc[v]) in g.bottom_sccs for v in range(len(g))])
+    assert fp.can_reach_predicate(g, bottom).all()
 
 
-def test_can_reach_predicate_accepts_callable_and_mask() -> None:
-    p = fp.build_protocol_b(7)
-    g = fp.reach(p, 7)
-    fin = p.state_named("FINAL")
-    via_callable = fp.can_reach_predicate(g, lambda c: c.count(fin) > 0)
-    mask = np.array([g.config(i).count(fin) > 0 for i in range(len(g))])
-    via_mask = fp.can_reach_predicate(g, mask)
-    assert via_callable.tolist() == via_mask.tolist()
-    assert len(via_callable) == len(g)  # complete at n == d
+def test_can_reach_predicate_maps_mask_to_mask() -> None:
+    # Un-accepting FINAL pairs at n = 7: some nodes can no longer accept.
+    m = build_mutant(MUTATIONS[2])
+    g = fp.reach(m, 7)
+    fin = m.state_named("FINAL")
+    good = np.array([g.config(i).count(fin) > 0 for i in range(len(g))])
+    kept = good.copy()
+    reached = fp.can_reach_predicate(g, good)
+    targets = set(np.flatnonzero(good).tolist())
+    want = [bool(_closure(g, i) & targets) for i in range(len(g))]
+    assert reached.dtype == bool
+    assert reached.tolist() == want
+    assert 0 < sum(want) < len(g)
+    assert np.array_equal(good, kept)
+    with pytest.raises(ValueError, match="shape"):
+        fp.can_reach_predicate(g, good[1:])
 
 
 def test_reach_graph_index_of() -> None:
@@ -381,10 +405,39 @@ def small_protocols(draw):
     )
 
 
-@given(small_protocols(), st.integers(1, 3))
-def test_random_protocols_match_reference(p: fp.Protocol, n: int) -> None:
+@st.composite
+def nontrivial_protocols(draw):
+    """2-4 states and a drawn Q1, where ``(q_init, q_init)`` always has a
+    non-identity result, so that every population of two or more agents
+    has a graph of more than one node."""
+    nq = draw(st.integers(2, 4))
+    names = [f"S{i}" for i in range(nq)]
+    pair = st.tuples(st.sampled_from(names), st.sampled_from(names))
+    rules = {}
+    for a in names:
+        for b in names:
+            if draw(st.booleans()):
+                rules[(a, b)] = draw(st.lists(pair, min_size=1, max_size=2))
+    # Any ordered pair of states but the first, ("S0", "S0").
+    moves = draw(st.sampled_from([(a, b) for a in names for b in names][1:]))
+    rules[("S0", "S0")] = [moves, *rules.get(("S0", "S0"), [])]
+    q1 = [n for n in names if draw(st.booleans())]
+    return fp.make_protocol("nontrivial", names, "S0", q1, rules, deterministic=False)
+
+
+def record_size(nodes: int) -> None:
+    """Record the graph size of a draw as a hypothesis event (shown by
+    ``--hypothesis-show-statistics``); a no-op outside hypothesis tests."""
+    if not currently_in_test_context():
+        return
+    bucket = "1" if nodes == 1 else "2-9" if nodes < 10 else "10-99" if nodes < 100 else "100+"
+    event(f"graph nodes: {bucket}")
+
+
+def _assert_matches_reference(p: fp.Protocol, n: int) -> None:
     nodes, edges = agent_graph(p, n)
     g = fp.reach(p, n)
+    record_size(len(g))
     got_nodes = {tuple(sorted(sum(([q] * c for q, c in cfg.counts), []))) for cfg in g.configurations()}
     assert got_nodes == quotient_nodes(nodes)
     got_edges = set()
@@ -397,6 +450,16 @@ def test_random_protocols_match_reference(p: fp.Protocol, n: int) -> None:
             dst = tuple(sorted(sum(([q] * c for q, c in g.config(int(j)).counts), [])))
             got_edges.add((src, dst))
     assert got_edges == quotient_edges(edges)
+
+
+@given(small_protocols(), st.integers(1, 3))
+def test_random_protocols_match_reference(p: fp.Protocol, n: int) -> None:
+    _assert_matches_reference(p, n)
+
+
+@given(nontrivial_protocols(), st.integers(2, 3))
+def test_nontrivial_protocols_match_reference(p: fp.Protocol, n: int) -> None:
+    _assert_matches_reference(p, n)
 
 
 #: Keeps the wide random graphs small; a draw above it must be capped by
@@ -423,12 +486,7 @@ def wide_protocols(draw):
     return fp.make_protocol("wide", names, names[active[0]], q1, rules, deterministic=False)
 
 
-@settings(max_examples=40)
-@given(wide_protocols(), st.sampled_from([7, 8, 15, 16, 31, 32]))
-def test_wide_protocols_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
-    # Fields are 3 bits wide at n = 7, 4 at n = 8 and 15, 5 at n = 16 and
-    # 31, and 6 at n = 32; keys then need a second limb from 17 states on
-    # (4-bit fields), 13 (5-bit) or 11 (6-bit).
+def _assert_matches_sequential_bfs(p: fp.Protocol, n: int) -> None:
     want = sequential_reach(p, n, WIDE_NODE_CAP)
     if want is None:
         with pytest.raises(fp.CapExceeded):
@@ -436,10 +494,25 @@ def test_wide_protocols_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
         return
     nodes, rows = want
     g = fp.reach(p, n, WIDE_NODE_CAP)
+    record_size(len(g))
     assert g.counts_matrix.tolist() == [list(c) for c in nodes]
     assert [g.successors_of(i).tolist() for i in range(len(g))] == rows
     for i in range(len(g)):
         assert fp.successors(p, g.config(i)) == {g.config(int(j)) for j in g.successors_of(i)}
+
+
+@settings(max_examples=40)
+@given(wide_protocols(), st.sampled_from([7, 8, 15, 16, 31, 32]))
+def test_wide_protocols_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
+    # Fields are 3 bits wide at n = 7, 4 at n = 8 and 15, 5 at n = 16 and
+    # 31, and 6 at n = 32; keys then need a second limb from 17 states on
+    # (4-bit fields), 13 (5-bit) or 11 (6-bit).
+    _assert_matches_sequential_bfs(p, n)
+
+
+@given(nontrivial_protocols(), st.integers(2, 12))
+def test_nontrivial_protocols_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
+    _assert_matches_sequential_bfs(p, n)
 
 
 #: One-limb keys, then keys of two limbs (21 states with 16 or 12 fields to

@@ -133,6 +133,21 @@ def test_sweep_exits_early_once_all_states_seen() -> None:
     assert om.n_cap == 10_000
 
 
+def test_sweep_stops_at_population_limit() -> None:
+    # Z never occurs, so a sweep asked for sizes past the limit reads every
+    # size it can and reports the limit instead of raising.
+    q = fp.make_protocol("dead", ["X", "Y", "Z"], "X", ["Z"], {("X", "X"): [("Y", "X")]})
+    for n_cap in (fp.MAX_POPULATION, fp.MAX_POPULATION + 1, 300):
+        om = fp.occurrence_thresholds(q, n_cap)
+        assert om.values == {0: 1, 1: 2}
+        assert om.unknown == frozenset({2})
+        assert om.n_cap == fp.MAX_POPULATION
+        if n_cap == fp.MAX_POPULATION:
+            assert om.cap_error is None
+        else:
+            assert f"population limit n={fp.MAX_POPULATION}" in om.cap_error
+
+
 def test_occurrence_thresholds_rejects_bad_n_cap() -> None:
     with pytest.raises(ValueError):
         fp.occurrence_thresholds(fp.build_protocol_a(7), 0)

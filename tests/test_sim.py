@@ -8,7 +8,7 @@ from hypothesis import given, strategies as st
 import flockpp as fp
 from flockpp.sim import RNG_ALGORITHM, SPOT_CHECK_EVERY, SimReport
 from oracle import stepwise_run
-from test_core import small_protocols
+from test_core import nontrivial_protocols, small_protocols
 
 #: Endlessly active: every configuration reachable with three agents has a
 #: productive encounter.
@@ -187,4 +187,11 @@ def test_run_matches_stepwise_oracle_on_random_protocols(
 ) -> None:
     # Nondeterministic cells draw a third number per step, and swap results
     # such as (a, b) -> (b, a) move no agent between states.
+    assert fp.run(p, n, seed, budget) == stepwise_run(p, n, seed, budget)
+
+
+@given(nontrivial_protocols(), st.integers(2, 12), st.integers(0, 2**32 - 1), st.integers(1, 2_500))
+def test_run_matches_stepwise_oracle_on_nontrivial_protocols(
+    p: fp.Protocol, n: int, seed: int, budget: int
+) -> None:
     assert fp.run(p, n, seed, budget) == stepwise_run(p, n, seed, budget)

@@ -10,8 +10,8 @@ from hypothesis import given, settings, strategies as st
 import flockpp as fp
 from flockpp.verify import TABLE_COLUMNS
 from mutations import MUTATIONS, build_mutant, rewrite_encounter
-from oracle import sequential_trace
-from test_core import small_protocols, wide_protocols
+from oracle import first_witnesses, sequential_trace
+from test_core import nontrivial_protocols, record_size, small_protocols, wide_protocols
 
 # -- b(7) end to end ---------------------------------------------------------
 
@@ -145,6 +145,32 @@ def test_each_mutation_is_caught(entry) -> None:
         "consensus": fp.check_consensus(m, 1 if n >= d else 0, n, graph=g),
     }
     assert verdicts[check].failed
+
+
+#: Keeps the per-node closures of the witness oracle quick.
+WITNESS_NODE_CAP = 300
+
+
+def _assert_first_witnesses(p: fp.Protocol, n: int, d: int) -> None:
+    want = first_witnesses(p, n, d, WITNESS_NODE_CAP)
+    if want is None:
+        return
+    (rep,) = fp.verify_range(p, d, n, n)
+    record_size(rep.nodes_explored)
+    assert tuple((v.status, v.witness) for v in (rep.sound, rep.complete, rep.consensus)) == want
+
+
+@pytest.mark.parametrize("entry", MUTATIONS, ids=lambda e: f"{e[0]}{e[1]}-{e[2][0]}|{e[2][1]}")
+def test_mutation_witnesses_are_first_bad_nodes(entry) -> None:
+    d = entry[1]
+    m = build_mutant(entry)
+    for n in range(1, d + 4):
+        _assert_first_witnesses(m, n, d)
+
+
+@given(nontrivial_protocols(), st.integers(2, 8), st.integers(1, 9))
+def test_witnesses_are_first_bad_nodes(p: fp.Protocol, n: int, d: int) -> None:
+    _assert_first_witnesses(p, n, d)
 
 
 def test_mutation_changes_exactly_one_encounter() -> None:
@@ -378,6 +404,7 @@ def _assert_traces_match_oracle(p: fp.Protocol, n: int) -> None:
         g = fp.reach(p, n, TRACE_NODE_CAP)
     except fp.CapExceeded:
         return
+    record_size(len(g))
     for c in g.configurations():
         steps = fp.encounter_trace(p, n, c)
         assert [(s.pair, s.result, s.after) for s in steps] == sequential_trace(p, n, c)
@@ -385,6 +412,11 @@ def _assert_traces_match_oracle(p: fp.Protocol, n: int) -> None:
 
 @given(small_protocols(), st.integers(1, 4))
 def test_traces_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
+    _assert_traces_match_oracle(p, n)
+
+
+@given(nontrivial_protocols(), st.integers(2, 6))
+def test_nontrivial_traces_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
     _assert_traces_match_oracle(p, n)
 
 
