@@ -62,6 +62,11 @@ def _verdict_json(v: verify.Verdict, p: core.Protocol) -> dict:
         out["witness"] = v.witness.pretty(p)
     elif v.witness is not None:
         out["witness"] = list(v.witness)
+    if v.trace is not None:
+        out["trace"] = [
+            {"pair": list(s.pair), "result": list(s.result), "after": s.after.pretty(p)}
+            for s in v.trace
+        ]
     return out
 
 
@@ -90,8 +95,7 @@ def _show_verdict(v: verify.Verdict, p: core.Protocol) -> str:
     return f"FAILS [{v.witness}]"
 
 
-def _print_trace(p: core.Protocol, n: int, witness: core.Configuration, node_cap: int) -> None:
-    steps = verify.encounter_trace(p, n, witness, node_cap)
+def _print_trace(p: core.Protocol, n: int, steps: list[verify.TraceStep]) -> None:
     print(f"  trace from I_{n} ({core.initial_configuration(p, n).pretty(p)}):")
     for s in steps:
         a, b = s.pair
@@ -119,8 +123,8 @@ def _run_verify_reports(
         )
         if trace:
             for v in (rep.sound, rep.complete, rep.consensus):
-                if v.failed and isinstance(v.witness, core.Configuration):
-                    _print_trace(p, rep.n, v.witness, node_cap)
+                if v.trace is not None:
+                    _print_trace(p, rep.n, v.trace)
 
     print(f"protocol {p.name}: {p.num_states} states, verifying n in [{n_lo}, {n_hi}]")
     reports = verify.verify_range(p, d, n_lo, n_hi, node_cap=node_cap, progress=show)

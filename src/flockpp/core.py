@@ -197,6 +197,12 @@ class Protocol:
                 out.append((a, b, has_id, tuple(results)))
         return tuple(out)
 
+    @cached_property
+    def _rules(self) -> np.ndarray:
+        """One row ``(a, b, c, d)`` per cell result of :attr:`_cells`, in order."""
+        rows = [(a, b, c, d) for a, b, _, res in self._cells for c, d in res]
+        return np.array(rows, dtype=np.intp).reshape(-1, 4)
+
 
 @dataclass(frozen=True, slots=True)
 class Configuration:
@@ -348,12 +354,14 @@ class ReachGraph:
     per node.  Edges are one-encounter steps, deduplicated per source,
     stored in CSR form (``indptr``/``targets``, int32 targets); a row lists
     the successors in the order of their first enabled cell result in
-    ``Protocol._cells``, then the node itself when it has a self-loop.  The
-    states that occur in some node (``occurring``), the strongly connected
-    components (``scc``, ``num_sccs``) and the set of bottom (no outgoing
-    edge) components (``bottom_sccs``) are computed on first access.  The
-    components carry the fairness analysis, because a fair run settles into
-    exactly one bottom component and visits all of it.
+    ``Protocol._cells``, then the node itself when it has a self-loop.
+    ``tree`` is the BFS tree in two int32 rows: each node's first parent and
+    the row of ``Protocol._rules`` whose cell result first reached it (0 and
+    0 at the root).  The states that occur in some node (``occurring``), the
+    strongly connected components (``scc``, ``num_sccs``) and the set of
+    bottom (no outgoing edge) components (``bottom_sccs``) are computed on
+    first access.  The components carry the fairness analysis, because a
+    fair run settles into exactly one bottom component and visits all of it.
     """
 
     def __init__(
@@ -363,12 +371,14 @@ class ReachGraph:
         counts_matrix: np.ndarray,
         indptr: np.ndarray,
         targets: np.ndarray,
+        tree: np.ndarray,
     ):
         self.protocol = protocol
         self.n = n
         self.counts_matrix = counts_matrix
         self.indptr = indptr
         self.targets = targets
+        self.tree = tree
 
     def __len__(self) -> int:
         return self.counts_matrix.shape[0]
@@ -510,9 +520,9 @@ class _LevelSearch:
     then cell, then result, so the numbering is the discovery order of a
     node-by-node BFS that tries each node's cell results of
     ``Protocol._cells`` in order.  Each new node is labelled with the cell
-    result that first reached it, a row index of ``app_rule``, whose rows
-    are ``(a, b, c, d)``.  Visited nodes are kept as sorted fingerprints
-    with node ids, and their limbs by id.
+    result that first reached it, a row index of ``Protocol._rules``.
+    Visited nodes are kept as sorted fingerprints with node ids, and their
+    limbs by id.
     """
 
     def __init__(self, p: Protocol, n_max: int, sizes: Sequence[int]):
@@ -526,17 +536,11 @@ class _LevelSearch:
         # A diagonal cell needs two agents of its state, any other one of each.
         self.cell_min = (self.cell_a == self.cell_b).astype(np.uint8)
         self.cell_no_id = np.array([not has_id for _, _, has_id, _ in cells], dtype=bool)
-        # One row (cell, a, b, c, d) per cell result, in cell order.
-        apps = np.array(
-            [(i, a, b, c, d) for i, (a, b, _, res) in enumerate(cells) for c, d in res],
-            dtype=np.intp,
-        ).reshape(-1, 5)
-        self.app_cell = apps[:, 0]
-        self.app_rule = apps[:, 1:]
-        step = np.zeros((len(apps), per * width), dtype=np.int64)
-        rows = np.arange(len(apps))
-        for col, sign in ((1, -1), (2, -1), (3, 1), (4, 1)):
-            np.add.at(step, (rows, apps[:, col]), sign)
+        self.app_cell = np.array([i for i, c in enumerate(cells) for _ in c[3]], dtype=np.intp)
+        rows = np.arange(len(self.app_cell))
+        step = np.zeros((len(rows), per * width), dtype=np.int64)
+        for col, sign in enumerate((-1, -1, 1, 1)):
+            np.add.at(step, (rows, p._rules[:, col]), sign)
         # Negative steps wrap modulo 2**8 and 2**64, which the adds undo.
         self.app_counts = step[:, :nq].astype(np.uint8)
         shift = (np.arange(per) * bits).astype(np.uint64)
@@ -564,7 +568,10 @@ class _LevelSearch:
         so the numbering does not depend on the block size.
 
         Returns ``(new_from, new_app)``: the frontier row each new node was
-        first reached from, and the cell result that reached it.  With
+        first reached from, and the row of ``Protocol._rules`` whose cell
+        result reached it; a single-root search keeps the two as its BFS
+        tree.  Raises ``RuntimeError`` if a new node's counts do not sum to
+        its parent's, which means a cell fired without its agents.  With
         ``edges`` it returns ``(new_from, new_app, degree, targets, no_id)``
         instead: also the number of edges of each frontier row, the target
         node ids of all edges, grouped by row in cell-result order, and the
@@ -608,7 +615,14 @@ class _LevelSearch:
         new_lim = cand[new_from]
         self._limbs[self.num_nodes : end] = new_lim
         self.num_nodes = end
-        new_cnt = cnt[parent[new_from]] + self.app_counts[app[new_from]]
+        old_cnt = cnt[parent[new_from]]
+        new_cnt = old_cnt + self.app_counts[app[new_from]]
+        # A count wrapped below zero reads 254 or 255; only then can the new
+        # nodes' counts fail to sum to their parents'.
+        if new_cnt.max(initial=0) >= 254 and (
+            new_cnt.sum(dtype=np.int64) != old_cnt.sum(dtype=np.int64)
+        ):
+            raise RuntimeError("a uint8 state count wrapped: a cell fired without its agents")
         labels = (lo + parent[new_from], app[new_from])
         if not edges:
             return new_lim, new_cnt, *labels
@@ -685,6 +699,25 @@ def _cap_message(p: Protocol, n: int, node_cap: int) -> str:
     return f"reachability closure of {p.name!r} at n={n} exceeds node cap {node_cap}"
 
 
+def _levels(p: Protocol, n: int, node_cap: int, edges: bool) -> Iterator[tuple]:
+    """Checks ``n`` and ``node_cap``, then yields ``(search, tree, cols)`` at the root of the
+    search from ``I_n`` and after each level, raising :class:`CapExceeded` at the first past the
+    cap: the BFS tree so far, in ``ReachGraph.tree`` blocks, and the expand's other columns."""
+    _check_population(n)
+    if node_cap < 1:
+        raise ValueError("node_cap must be >= 1")
+    search = _LevelSearch(p, n, [n])
+    tree = [np.zeros((2, 1), dtype=np.int32)]
+    yield search, tree, []
+    while len(search.cnt):
+        base = search.num_nodes - len(search.cnt)
+        new_from, new_app, *cols = search.expand(edges)
+        tree.append(np.array((base + new_from, new_app), dtype=np.int32))
+        if search.num_nodes > node_cap:
+            raise CapExceeded(_cap_message(p, n, node_cap), node_cap=node_cap)
+        yield search, tree, cols
+
+
 def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     """Breadth-first closure of :func:`successors` from ``I_n``.
 
@@ -692,27 +725,15 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     nodes exactly as a node-by-node BFS would; each edge row lists the
     successors in the order of their first enabled cell result, then the
     node itself when it has a self-loop, and holds exactly the
-    configurations :func:`successors` returns.  Returns the
-    complete reachability graph; its occurring states, SCCs and bottom SCCs
-    are computed when first read.  Raises :class:`CapExceeded` iff more
-    than ``node_cap`` nodes are reachable — never a partial graph.
+    configurations :func:`successors` returns.  Returns the complete
+    reachability graph with its BFS tree; its occurring states, SCCs and
+    bottom SCCs are computed when first read.  Raises :class:`CapExceeded`
+    iff more than ``node_cap`` nodes are reachable — never a partial graph.
     """
-    _check_population(n)
-    if node_cap < 1:
-        raise ValueError("node_cap must be >= 1")
-    search = _LevelSearch(p, n, [n])
-    counts = [search.cnt]
-    degrees: list[np.ndarray] = []
-    targets: list[np.ndarray] = []
-    no_ids: list[np.ndarray] = []
-    while len(search.cnt):
-        _, _, degree, tgt, no_id = search.expand(edges=True)
-        degrees.append(degree)
-        targets.append(tgt)
-        no_ids.append(no_id)
-        if search.num_nodes > node_cap:
-            raise CapExceeded(_cap_message(p, n, node_cap), node_cap=node_cap)
-        counts.append(search.cnt)
+    counts, degrees, targets, no_ids = [], [], [], []
+    for search, tree, cols in _levels(p, n, node_cap, edges=True):
+        for part, col in zip((counts, degrees, targets, no_ids), (search.cnt, *cols)):
+            part.append(col)
 
     del search  # the assembly below needs none of the search state
     counts_matrix = np.concatenate(counts)
@@ -725,7 +746,7 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     target = np.insert(target, np.cumsum(degree)[looped], looped)
     indptr = np.zeros(len(degree) + 1, dtype=np.int64)
     np.cumsum(degree + loop, out=indptr[1:])
-    return ReachGraph(p, n, counts_matrix, indptr, target)
+    return ReachGraph(p, n, counts_matrix, indptr, target, np.concatenate(tree, axis=1))
 
 
 def can_reach_predicate(g: ReachGraph, good: np.ndarray) -> np.ndarray:

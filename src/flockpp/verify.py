@@ -23,7 +23,7 @@ import csv
 import io
 import time
 from collections.abc import Callable
-from dataclasses import astuple, dataclass, fields
+from dataclasses import astuple, dataclass, field, fields
 from typing import Any
 
 import numpy as np
@@ -34,8 +34,7 @@ from .core import (
     Configuration,
     Protocol,
     ReachGraph,
-    _check_population,
-    _LevelSearch,
+    _levels,
     can_reach_predicate,
     reach,
 )
@@ -58,10 +57,14 @@ __all__ = [
 
 @dataclass(frozen=True)
 class Verdict:
-    """Outcome of one check: ``holds``, ``fails`` (with witness), or ``na``."""
+    """Outcome of one check: ``holds``, ``fails`` (with witness), or ``na``.
+
+    A configuration witness comes with the :func:`encounter_trace` to it,
+    ``trace``, read off the search that found it; equality ignores it."""
 
     status: str
     witness: Any = None
+    trace: list[TraceStep] | None = field(default=None, compare=False, repr=False)
 
     @property
     def holds(self) -> bool:
@@ -122,10 +125,11 @@ def _holding(g: ReachGraph, states: frozenset[int]) -> np.ndarray:
 
 def _verdict(g: ReachGraph, bad: np.ndarray) -> Verdict:
     """``holds`` when no node is ``bad``; otherwise ``fails`` with the first
-    bad node in BFS order as the witness."""
+    bad node in BFS order as the witness, and the trace to it."""
     if not bad.any():
         return HOLDS
-    return Verdict("fails", g.config(int(np.argmax(bad))))
+    i = int(np.argmax(bad))
+    return Verdict("fails", g.config(i), _walk(g.protocol, g.tree, i, g.counts_matrix[i]))
 
 
 def check_soundness(
@@ -321,50 +325,13 @@ class TraceStep:
     after: Configuration
 
 
-def encounter_trace(
-    p: Protocol, n: int, target: Configuration, node_cap: int = DEFAULT_NODE_CAP
-) -> list[TraceStep]:
-    """A shortest encounter sequence from ``I_n`` to ``target``.
-
-    Runs the breadth-first search of :func:`~flockpp.core.reach` without
-    edges, level by level, and stops after the level that holds the target;
-    the steps are read back along each node's first parent, the one a
-    node-by-node BFS finds first.  Each step names the ordered encounter
-    ``(a, b) -> (c, d)`` of ``delta`` that it applies.  Raises
-    :class:`CapExceeded` iff more than ``node_cap`` configurations lie
-    within the target's BFS depth (all of them when the target is
-    unreachable), which is :func:`~flockpp.core.reach`'s rule applied to
-    that ball.  Raises ``ValueError`` without searching when ``n`` is out
-    of range, ``node_cap < 1``, or the target has another population size
-    or an unknown state, and after the search when the target is not
-    reachable.  Intended for explaining check witnesses.
-    """
-    _check_population(n)
-    if node_cap < 1:
-        raise ValueError("node_cap must be >= 1")
-    nq = p.num_states
-    if target.n != n or any(q >= nq for q, _ in target.counts):
-        raise ValueError(f"target {target} is not a configuration of {p.name!r} at n={n}")
-    want = np.zeros(nq, dtype=np.uint8)
-    for q, k in target.counts:
-        want[q] = k
-    search = _LevelSearch(p, n, [n])
-    labels: list[tuple[np.ndarray, np.ndarray]] = []
-    while True:
-        hit = (search.cnt == want).all(axis=1).nonzero()[0]
-        if hit.size:
-            break
-        if not len(search.cnt):
-            raise ValueError(f"target {target} is not reachable from I_{n}")
-        labels.append(search.expand(edges=False))
-        if search.num_nodes > node_cap:
-            raise CapExceeded(f"trace search exceeds node cap {node_cap}", node_cap=node_cap)
-    # Walk back from the target, undoing each step's rule.
-    counts = want.tolist()
-    at = int(hit[0])
+def _walk(p: Protocol, tree: np.ndarray, i: int, counts: np.ndarray) -> list[TraceStep]:
+    """The steps from ``I_n`` to node ``i`` with count row ``counts`` along
+    the first parents of a BFS ``tree``, undoing each step's rule."""
+    counts = counts.tolist()
     steps: list[TraceStep] = []
-    for new_from, new_app in reversed(labels):
-        a, b, c, d = search.app_rule[new_app[at]].tolist()
+    while i:
+        a, b, c, d = p._rules[tree[1, i]].tolist()
         after = Configuration.from_pairs(enumerate(counts))
         if (c, d) not in p.delta_of(a, b):
             # A result of delta(b, a), which the cell lists swapped.
@@ -374,6 +341,40 @@ def encounter_trace(
         counts[b] += 1
         counts[c] -= 1
         counts[d] -= 1
-        at = int(new_from[at])
+        i = tree[0, i]
     steps.reverse()
     return steps
+
+
+def encounter_trace(
+    p: Protocol, n: int, target: Configuration, node_cap: int = DEFAULT_NODE_CAP
+) -> list[TraceStep]:
+    """A shortest encounter sequence from ``I_n`` to ``target``.
+
+    Runs the breadth-first search of :func:`~flockpp.core.reach` without
+    edges, level by level, and stops after the level that holds the target;
+    the steps are read back along each node's first parent, the one a
+    node-by-node BFS finds first.  Each step names the ordered encounter
+    ``(a, b) -> (c, d)`` of ``delta`` that it applies; a failing
+    :class:`Verdict` carries the same steps.  Raises :class:`CapExceeded`
+    iff more than ``node_cap`` configurations lie within the target's BFS
+    depth (all of them when the target is unreachable), which is
+    :func:`~flockpp.core.reach`'s rule applied to that ball.  Raises
+    ``ValueError`` without searching when ``n`` is out of range,
+    ``node_cap < 1``, or the target has another population size or an
+    unknown state, and after the search when the target is not reachable.
+    Intended for explaining check witnesses.
+    """
+    levels = _levels(p, n, node_cap, edges=False)
+    search, tree, _ = next(levels)  # checks n and node_cap first
+    nq = p.num_states
+    if target.n != n or any(q >= nq for q, _ in target.counts):
+        raise ValueError(f"target {target} is not a configuration of {p.name!r} at n={n}")
+    want = np.zeros(nq, dtype=np.uint8)
+    for q, k in target.counts:
+        want[q] = k
+    while not (hit := (search.cnt == want).all(axis=1).nonzero()[0]).size:
+        if not len(search.cnt):
+            raise ValueError(f"target {target} is not reachable from I_{n}")
+        search, tree, _ = next(levels)
+    return _walk(p, np.concatenate(tree, axis=1), search.num_nodes - len(search.cnt) + hit[0], want)

@@ -56,16 +56,20 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     (
         "reach checks the cap only at the end",
         CORE,
-        """        no_ids.append(no_id)
-        if search.num_nodes > node_cap:
+        """        if search.num_nodes > node_cap:
             raise CapExceeded(_cap_message(p, n, node_cap), node_cap=node_cap)
-        counts.append(search.cnt)
+        yield search, tree, cols
 """,
-        """        no_ids.append(no_id)
-        counts.append(search.cnt)
+        """        yield search, tree, cols
     if search.num_nodes > node_cap:
         raise CapExceeded(_cap_message(p, n, node_cap), node_cap=node_cap)
 """,
+    ),
+    (
+        "verdict trace walks from the root",
+        VERIFY,
+        "_walk(g.protocol, g.tree, i, g.counts_matrix[i])",
+        "_walk(g.protocol, g.tree, 0, g.counts_matrix[i])",
     ),
     ("simulator redraw bound off by one", SIM, "while y >= m:", "while y > m:"),
     (

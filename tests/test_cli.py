@@ -7,7 +7,9 @@ import json
 import pytest
 
 import flockpp as fp
+from flockpp import core
 from flockpp.cli import main
+from mutations import MUTATIONS, build_mutant
 
 
 def test_no_arguments_is_usage_error(capsys) -> None:
@@ -104,6 +106,44 @@ def test_verify_failure_exit_1_with_trace(tmp_path, capsys) -> None:
     assert rc == 1
     assert "sound=FAILS [1*A]" in out
     assert "RESULT: some checks FAILED" in out
+
+
+def test_json_failing_verdicts_carry_traces(tmp_path, capsys) -> None:
+    p = fp.make_protocol("eager", ["A", "B"], "A", ["A"], {("A", "A"): [("A", "B")]})
+    path = tmp_path / "eager.json"
+    path.write_text(fp.protocol_to_json(p))
+    assert main(["check-file", str(path), "--d", "2", "--n-hi", "2", "--json", "-"]) == 1
+    out = capsys.readouterr().out
+    r1, r2 = json.loads(out[out.index("{"): out.rindex("}") + 1])["reports"]
+    # I_1 is the witness of both failures, reached by no step.
+    assert r1["sound"] == {"status": "fails", "witness": "1*A", "trace": []}
+    assert r1["consensus"] == r1["sound"]
+    assert r1["complete"] == {"status": "na"}
+    assert r2["consensus"] == {
+        "status": "fails",
+        "witness": "1*A + 1*B",
+        "trace": [{"pair": ["A", "A"], "result": ["A", "B"], "after": "1*A + 1*B"}],
+    }
+
+
+def test_trace_explores_each_n_once(tmp_path, monkeypatch, capsys) -> None:
+    # Traces are read off the search each verdict ran; none searches again.
+    sizes = []
+    init = core._LevelSearch.__init__
+
+    def counted(self, p, n_max, roots):
+        sizes.append(n_max)
+        init(self, p, n_max, roots)
+
+    monkeypatch.setattr(core._LevelSearch, "__init__", counted)
+    path = tmp_path / "mutant.json"
+    path.write_text(fp.protocol_to_json(build_mutant(MUTATIONS[0])))
+    assert main(["check-file", str(path), "--d", "7", "--trace"]) == 1
+    assert "trace from I_7" in capsys.readouterr().out
+    assert sizes == list(range(1, 11))
+    sizes.clear()
+    assert main(["verify", "--family", "b", "--d", "7", "--trace"]) == 0
+    assert sizes == list(range(1, 11))
 
 
 def test_verify_failure_beats_cap_in_exit_code(capsys) -> None:

@@ -125,6 +125,17 @@ def test_reach_stops_at_the_level_that_passes_the_cap(monkeypatch) -> None:
     assert sizes[-2] <= 10 < sizes[-1]
 
 
+def test_wrapped_count_fails_fast() -> None:
+    # With diagonal cells enabled by one agent, a count of 1 loses two and
+    # wraps to 255, and the search would run on through configurations that
+    # do not exist.
+    search = core._LevelSearch(fp.build_protocol_b(7), 3, [3])
+    search.cell_min[:] = 0
+    with pytest.raises(RuntimeError, match="wrapped"):
+        while len(search.cnt):
+            search.expand(edges=True)
+
+
 @pytest.mark.parametrize("fam,d", ALL_FAMILIES_SMALL)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_permutation_quotient_equivalence(fam: str, d: int, n: int) -> None:

@@ -157,7 +157,14 @@ def _assert_first_witnesses(p: fp.Protocol, n: int, d: int) -> None:
         return
     (rep,) = fp.verify_range(p, d, n, n)
     record_size(rep.nodes_explored)
-    assert tuple((v.status, v.witness) for v in (rep.sound, rep.complete, rep.consensus)) == want
+    verdicts = (rep.sound, rep.complete, rep.consensus)
+    assert tuple((v.status, v.witness) for v in verdicts) == want
+    for v in verdicts:
+        if v.failed:
+            steps = [(s.pair, s.result, s.after) for s in v.trace]
+            assert steps == sequential_trace(p, n, v.witness)
+        else:
+            assert v.trace is None
 
 
 @pytest.mark.parametrize("entry", MUTATIONS, ids=lambda e: f"{e[0]}{e[1]}-{e[2][0]}|{e[2][1]}")
@@ -166,6 +173,24 @@ def test_mutation_witnesses_are_first_bad_nodes(entry) -> None:
     m = build_mutant(entry)
     for n in range(1, d + 4):
         _assert_first_witnesses(m, n, d)
+
+
+@pytest.mark.parametrize("entry", MUTATIONS, ids=lambda e: f"{e[0]}{e[1]}-{e[2][0]}|{e[2][1]}")
+def test_mutation_verdict_traces_are_encounter_traces(entry) -> None:
+    # Every size of the grid, with no cap on the graph: the trace a verdict
+    # reads off its own graph is the one a separate search finds.
+    d = entry[1]
+    m = build_mutant(entry)
+    failing = [
+        (rep.n, v)
+        for rep in fp.verify_range(m, d, 1, d + 3)
+        for v in (rep.sound, rep.complete, rep.consensus)
+        if v.failed
+    ]
+    assert failing
+    for n, v in failing:
+        assert v.trace == fp.encounter_trace(m, n, v.witness)
+        assert v == fp.Verdict("fails", v.witness)  # the trace is not compared
 
 
 @given(nontrivial_protocols(), st.integers(2, 8), st.integers(1, 9))
