@@ -175,8 +175,9 @@ class Protocol:
         encounter happens in either order, so both ``delta_of(a, b)`` and
         ``delta_of(b, a)`` are read: the (a, b) results first, then the
         (b, a) results swapped, since moving one agent b->c and one a->d is
-        the same multiset step as applying (d, c) to (a, b).  An unlisted
-        order reads as the identity, which sets ``has_identity``.
+        the same multiset step as applying (d, c) to (a, b).  A result that
+        leaves the multiset unchanged, or an unlisted order, which reads as
+        the identity, is not listed but sets ``has_identity``.
         """
         out = []
         for a, b in sorted({(min(ab), max(ab)) for ab in self._delta_map}):
@@ -260,6 +261,11 @@ def make_protocol(
     """
     states = tuple(State(i, n) for i, n in enumerate(state_names))
     idx = {s.name: s.index for s in states}
+    if q_init not in idx:
+        raise ProtocolError(f"q_init {q_init!r} is not a state")
+    missing = [n for n in q1 if n not in idx]
+    if missing:
+        raise ProtocolError(f"q1 references unknown state {missing[0]!r}")
     try:
         entries = []
         for (an, bn), cell in rules.items():
@@ -277,17 +283,12 @@ def make_protocol(
     p = Protocol(
         name=name,
         states=states,
-        q_init=idx[q_init] if q_init in idx else -1,
-        q1=frozenset(idx[n] for n in q1 if n in idx),
+        q_init=idx[q_init],
+        q1=frozenset(idx[n] for n in q1),
         delta=tuple(sorted(entries)),
         deterministic=deterministic,
         params=params,
     )
-    if q_init not in idx:
-        raise ProtocolError(f"q_init {q_init!r} is not a state")
-    missing = [n for n in q1 if n not in idx]
-    if missing:
-        raise ProtocolError(f"q1 references unknown state {missing[0]!r}")
     p.validate()
     return p
 
@@ -315,10 +316,10 @@ def successors(p: Protocol, c: Configuration) -> set[Configuration]:
     ``q_b -> q_d``.  For ``n = 1`` there are no encounters and the result is
     empty, as it is for the empty configuration.
 
-    This is the scalar reference for :func:`reach`: the tests check every
-    graph row against it.  ``c`` has a self-loop iff some enabled encounter
-    admits the identity result, i.e. iff the number of enabled unordered
-    pairs exceeds the number of enabled pairs that can never stay put.
+    This is the scalar reference for :func:`reach`: every graph row is its
+    result minus ``c``.  ``c`` is its own successor iff some enabled
+    encounter can stay put, i.e. iff it has more enabled unordered pairs
+    than enabled pairs without an identity result.
     """
     if c.n:
         _check_population(c.n)
@@ -351,17 +352,17 @@ class ReachGraph:
 
     Nodes are configurations indexed in BFS discovery order from the root
     ``I_n`` (index 0); ``counts_matrix`` holds one uint8 row of state counts
-    per node.  Edges are one-encounter steps, deduplicated per source,
-    stored in CSR form (``indptr``/``targets``, int32 targets); a row lists
-    the successors in the order of their first enabled cell result in
-    ``Protocol._cells``, then the node itself when it has a self-loop.
-    ``tree`` is the BFS tree in two int32 rows: each node's first parent and
-    the row of ``Protocol._rules`` whose cell result first reached it (0 and
-    0 at the root).  The states that occur in some node (``occurring``), the
-    strongly connected components (``scc``, ``num_sccs``) and the set of
-    bottom (no outgoing edge) components (``bottom_sccs``) are computed on
-    first access.  The components carry the fairness analysis, because a
-    fair run settles into exactly one bottom component and visits all of it.
+    per node.  Edges are stored in CSR form (``indptr``/``targets``, int32
+    targets): row ``i`` is ``successors(p, c_i) - {c_i}`` in the order of
+    their first enabled cell result in ``Protocol._cells``.  ``tree`` is
+    the BFS tree in two int32 rows: each node's first parent and the row of
+    ``Protocol._rules`` whose cell result first reached it (0 and 0 at the
+    root).  The states that occur in some node (``occurring``), the strongly
+    connected component of each node (``scc``) and which components no
+    edge leaves (``bottom``) are computed on first access.  The components
+    carry the fairness analysis, because a fair run settles into exactly one
+    bottom component and visits all of it; steps that change nothing bear
+    on neither.
     """
 
     def __init__(
@@ -432,14 +433,11 @@ class ReachGraph:
         return labels.astype(np.int32, copy=False)
 
     @cached_property
-    def num_sccs(self) -> int:
-        return int(self.scc.max()) + 1
-
-    @cached_property
-    def _bottom_mask(self) -> np.ndarray:
-        """Boolean per component label: true when no edge leaves it."""
+    def bottom(self) -> np.ndarray:
+        """Boolean per component label: true when no edge leaves it, so
+        ``bottom[scc]`` masks the nodes of bottom components."""
         # Scan edges in chunks to bound transient memory on large graphs.
-        bottom = np.ones(self.num_sccs, dtype=bool)
+        bottom = np.ones(int(self.scc.max()) + 1, dtype=bool)
         out_deg = np.diff(self.indptr)
         srcs = np.repeat(np.arange(len(self), dtype=np.int32), out_deg)
         chunk = 8_000_000
@@ -449,11 +447,6 @@ class ReachGraph:
             lt = self.scc[self.targets[lo:hi]]
             bottom[ls[ls != lt]] = False
         return bottom
-
-    @cached_property
-    def bottom_sccs(self) -> frozenset[int]:
-        """Labels of the components that no edge leaves."""
-        return frozenset(np.flatnonzero(self._bottom_mask).tolist())
 
 
 # -- array-native exploration ------------------------------------------------
@@ -535,7 +528,6 @@ class _LevelSearch:
         self.cell_b = np.array([b for _, b, _, _ in cells], dtype=np.intp)
         # A diagonal cell needs two agents of its state, any other one of each.
         self.cell_min = (self.cell_a == self.cell_b).astype(np.uint8)
-        self.cell_no_id = np.array([not has_id for _, _, has_id, _ in cells], dtype=bool)
         self.app_cell = np.array([i for i, c in enumerate(cells) for _ in c[3]], dtype=np.intp)
         rows = np.arange(len(self.app_cell))
         step = np.zeros((len(rows), per * width), dtype=np.int64)
@@ -572,11 +564,10 @@ class _LevelSearch:
         result reached it; a single-root search keeps the two as its BFS
         tree.  Raises ``RuntimeError`` if a new node's counts do not sum to
         its parent's, which means a cell fired without its agents.  With
-        ``edges`` it returns ``(new_from, new_app, degree, targets, no_id)``
-        instead: also the number of edges of each frontier row, the target
-        node ids of all edges, grouped by row in cell-result order, and the
-        number of enabled cells of each frontier row that cannot leave it
-        unchanged.
+        ``edges`` it returns ``(new_from, new_app, degree, targets)``
+        instead: also the number of edges of each frontier row and the
+        target node ids of all edges, grouped by row in cell-result order.
+        No edge is a self-loop: every cell result changes the multiset.
         """
         parts = [self._expand_block(lo, edges) for lo in range(0, len(self.cnt), _BLOCK_ROWS)]
         joined = [col[0] if len(col) == 1 else np.concatenate(col) for col in zip(*parts)]
@@ -636,8 +627,7 @@ class _LevelSearch:
         target = np.empty(k, dtype=np.int32)
         target[order] = gid[group]
         degree = np.bincount(parent[keep], minlength=len(cnt)).astype(np.int32)
-        no_id = enabled[:, self.cell_no_id].sum(axis=1, dtype=np.int32)
-        return new_lim, new_cnt, *labels, degree, target[keep], no_id
+        return new_lim, new_cnt, *labels, degree, target[keep]
 
     def prune(self, keep: np.ndarray) -> None:
         """Drop the frontier rows where ``keep`` is false from further search."""
@@ -682,19 +672,6 @@ class _LevelSearch:
         self._ids = merged
 
 
-def _self_loops(counts: np.ndarray, no_id: np.ndarray) -> np.ndarray:
-    """Which count rows have a self-loop, given how many of their enabled
-    cells cannot leave them unchanged.
-
-    A configuration has a self-loop iff some enabled unordered pair of its
-    states can leave it unchanged, i.e. iff it has more enabled pairs than
-    enabled cells without an identity result; a pair of distinct states
-    needs one agent of each, a pair of one state two agents.
-    """
-    support = (counts > 0).sum(axis=1)
-    return support * (support - 1) // 2 + (counts > 1).sum(axis=1) > no_id
-
-
 def _cap_message(p: Protocol, n: int, node_cap: int) -> str:
     return f"reachability closure of {p.name!r} at n={n} exceeds node cap {node_cap}"
 
@@ -723,30 +700,24 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
 
     The search expands a whole BFS level at a time in numpy and numbers the
     nodes exactly as a node-by-node BFS would; each edge row lists the
-    successors in the order of their first enabled cell result, then the
-    node itself when it has a self-loop, and holds exactly the
-    configurations :func:`successors` returns.  Returns the complete
-    reachability graph with its BFS tree; its occurring states, SCCs and
-    bottom SCCs are computed when first read.  Raises :class:`CapExceeded`
-    iff more than ``node_cap`` nodes are reachable — never a partial graph.
+    successors in the order of their first enabled cell result and holds
+    exactly the configurations :func:`successors` returns other than the
+    node itself.  Returns the complete reachability graph with its BFS tree;
+    its occurring states, SCCs and bottom SCCs are computed when first
+    read.  Raises :class:`CapExceeded` iff more than ``node_cap`` nodes are
+    reachable — never a partial graph.
     """
-    counts, degrees, targets, no_ids = [], [], [], []
+    counts, degrees, targets = [], [], []
     for search, tree, cols in _levels(p, n, node_cap, edges=True):
-        for part, col in zip((counts, degrees, targets, no_ids), (search.cnt, *cols)):
+        for part, col in zip((counts, degrees, targets), (search.cnt, *cols)):
             part.append(col)
 
     del search  # the assembly below needs none of the search state
     counts_matrix = np.concatenate(counts)
-    degree = np.concatenate(degrees)
-    loop = _self_loops(counts_matrix, np.concatenate(no_ids))
-    del counts, degrees, no_ids
-    looped = np.flatnonzero(loop).astype(np.int32)
-    target = np.concatenate(targets)
-    del targets
-    target = np.insert(target, np.cumsum(degree)[looped], looped)
-    indptr = np.zeros(len(degree) + 1, dtype=np.int64)
-    np.cumsum(degree + loop, out=indptr[1:])
-    return ReachGraph(p, n, counts_matrix, indptr, target, np.concatenate(tree, axis=1))
+    indptr = np.zeros(len(counts_matrix) + 1, dtype=np.int64)
+    np.cumsum(np.concatenate(degrees), out=indptr[1:])
+    del counts, degrees
+    return ReachGraph(p, n, counts_matrix, indptr, np.concatenate(targets), np.concatenate(tree, axis=1))
 
 
 def can_reach_predicate(g: ReachGraph, good: np.ndarray) -> np.ndarray:
@@ -815,6 +786,8 @@ def protocol_from_json(text: str) -> Protocol:
         delta = obj["delta"]
     except KeyError as exc:
         raise ProtocolError(f"missing required field {exc.args[0]!r}") from None
+    if not isinstance(name, str):
+        raise ProtocolError("'name' must be a string")
     if not isinstance(state_names, list) or not all(
         isinstance(s, str) for s in state_names
     ):
@@ -823,7 +796,9 @@ def protocol_from_json(text: str) -> Protocol:
         raise ProtocolError("state names are not unique")
     if not isinstance(deterministic, bool):
         raise ProtocolError("'deterministic' must be a boolean")
-    if not isinstance(q1, list):
+    if not isinstance(q_init, str):
+        raise ProtocolError("'q_init' must be a state name")
+    if not isinstance(q1, list) or not all(isinstance(s, str) for s in q1):
         raise ProtocolError("'q1' must be a list of state names")
     rules: dict[tuple[str, str], list[tuple[str, str]]] = {}
     if not isinstance(delta, list):
@@ -845,7 +820,7 @@ def protocol_from_json(text: str) -> Protocol:
             out.append((r[0], r[1]))
         rules[(a, b)] = out
     return make_protocol(
-        name=name if isinstance(name, str) else "",
+        name=name,
         state_names=state_names,
         q_init=q_init,
         q1=q1,

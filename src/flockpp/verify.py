@@ -172,7 +172,7 @@ def check_consensus(
     if r not in (0, 1):
         raise ValueError(f"expected output bit must be 0 or 1, got {r}")
     g = _graph_for(p, n, node_cap, graph)
-    return _verdict(g, g._bottom_mask[g.scc] & _holding(g, p.q0 if r == 1 else p.q1))
+    return _verdict(g, g.bottom[g.scc] & _holding(g, p.q0 if r == 1 else p.q1))
 
 
 def verify_range(
@@ -213,7 +213,7 @@ def verify_range(
                         f"internal inconsistency for {p.name!r} at n={n}: "
                         "stable consensus on 1 holds but completeness fails"
                     )
-            nodes, bottoms = len(g), int(np.count_nonzero(g._bottom_mask))
+            nodes, bottoms = len(g), int(np.count_nonzero(g.bottom))
         rep = VerificationReport(
             protocol_name=p.name,
             d=d,

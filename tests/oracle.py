@@ -78,8 +78,8 @@ def sequential_reach(
     Nodes are numbered in discovery order from I_n.  A row lists the
     distinct successors in encounter order: unordered pairs {a, b} with
     a <= b in increasing order, the results of (a, b), then the swapped
-    results of (b, a).  The node itself comes last when some enabled
-    encounter leaves the multiset unchanged.  Returns None when more than
+    results of (b, a).  Results that leave the multiset unchanged are
+    skipped, so no row lists its own node.  Returns None when more than
     ``node_cap`` nodes are reachable.
     """
     nq = p.num_states
@@ -89,7 +89,6 @@ def sequential_reach(
     rows: list[list[int]] = []
     for src in nodes:  # grows while it is walked
         row: list[int] = []
-        stays = False
         support = [q for q in range(nq) if src[q]]
         for a in support:
             for b in support:
@@ -100,7 +99,6 @@ def sequential_reach(
                     results += [(d, c) for c, d in p.delta_of(b, a)]
                 for c, d in results:
                     if sorted((c, d)) == sorted((a, b)):
-                        stays = True
                         continue
                     dst = list(src)
                     dst[a] -= 1
@@ -115,8 +113,6 @@ def sequential_reach(
                         nodes.append(tuple(dst))
                     if j not in row:
                         row.append(j)
-        if stays:
-            row.append(len(rows))
         rows.append(row)
     return nodes, rows
 

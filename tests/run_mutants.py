@@ -43,8 +43,8 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         "_verdict(g, can_reach_predicate(",
     ),
     ("consensus checks the wrong side", VERIFY, "p.q0 if r == 1 else p.q1", "p.q1 if r == 1 else p.q0"),
-    ("consensus looks outside bottom SCCs", VERIFY, "g._bottom_mask[g.scc] & ", ""),
-    ("self-loop test off by one", CORE, "(counts > 1).sum(axis=1) > no_id", "(counts > 1).sum(axis=1) >= no_id"),
+    ("consensus looks outside bottom SCCs", VERIFY, "g.bottom[g.scc] & ", ""),
+    ("self-loop test off by one", CORE, "doubled > enabled_no_id", "doubled >= enabled_no_id"),
     (
         "diagonal cell enabled by one agent",
         CORE,

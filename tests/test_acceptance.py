@@ -281,7 +281,7 @@ def test_criterion_7_mutation_sensitivity() -> None:
             if ok[i]:
                 failures.append(f"{label}: completeness witness can still accept")
         if check == "consensus":
-            if int(g.scc[i]) not in g.bottom_sccs:
+            if not g.bottom[g.scc[i]]:
                 failures.append(f"{label}: consensus witness not in a bottom SCC")
             if w.unanimous_in(m.q1):
                 failures.append(f"{label}: consensus witness is unanimous")

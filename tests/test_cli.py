@@ -274,6 +274,17 @@ def test_check_file_parse_error_exit_2(tmp_path, capsys) -> None:
     assert err["error"] == "ProtocolError"
 
 
+def test_check_file_ill_typed_field_exit_2(tmp_path, capsys) -> None:
+    # Valid JSON whose q_init is a list, not a state name.
+    obj = json.loads(fp.protocol_to_json(fp.build_protocol_b(7)))
+    obj["q_init"] = [obj["q_init"]]
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(obj))
+    assert main(["check-file", str(path), "--d", "2"]) == 2
+    err = json.loads(capsys.readouterr().err)
+    assert err["error"] == "ProtocolError"
+
+
 def test_check_file_missing_file_exit_2(tmp_path, capsys) -> None:
     assert main(["check-file", str(tmp_path / "absent.json"), "--d", "7"]) == 2
 

@@ -70,8 +70,8 @@ def test_reach_n1_single_node_no_edges() -> None:
     assert len(g) == 1
     assert g.num_edges == 0
     assert g.config(0) == fp.initial_configuration(p, 1)
-    assert g.num_sccs == 1
-    assert g.bottom_sccs == frozenset({0})
+    assert g.scc.tolist() == [0]
+    assert g.bottom[g.scc[0]]
 
 
 # Node counts precomputed with a separate throwaway breadth-first script.
@@ -136,23 +136,38 @@ def test_wrapped_count_fails_fast() -> None:
             search.expand(edges=True)
 
 
+def _multiset(c: fp.Configuration) -> tuple[int, ...]:
+    return tuple(sorted(sum(([q] * k for q, k in c.counts), [])))
+
+
+def _assert_matches_agents(
+    p: fp.Protocol, g: fp.ReachGraph, nodes: set[tuple], edges: set[tuple]
+) -> None:
+    """The nodes of ``g`` are the agent-indexed ``nodes`` up to permutation,
+    every graph row is ``successors()`` of its node minus the node itself,
+    and ``successors()`` on every node, identity steps included, is the
+    agent-indexed one-step relation ``edges`` up to permutation."""
+    assert {_multiset(cfg) for cfg in g.configurations()} == quotient_nodes(nodes)
+    got_edges = set()
+    for i in range(len(g)):
+        c = g.config(i)
+        row = g.successors_of(i).tolist()
+        assert i not in row
+        succ = fp.successors(p, c)
+        assert {g.config(j) for j in row} == succ - {c}
+        got_edges |= {(_multiset(c), _multiset(s)) for s in succ}
+    assert got_edges == quotient_edges(edges)
+
+
 @pytest.mark.parametrize("fam,d", ALL_FAMILIES_SMALL)
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_permutation_quotient_equivalence(fam: str, d: int, n: int) -> None:
-    """The multiset graph is exactly the agent-indexed graph up to permutation."""
+    """The multiset graph is exactly the agent-indexed graph up to
+    permutation, without the steps that leave a configuration unchanged."""
     p = fp.build_family(fam, d)
     nodes, edges = agent_graph(p, n)
     g = fp.reach(p, n)
-    got_nodes = {tuple(sorted(sum(([q] * c for q, c in cfg.counts), []))) for cfg in g.configurations()}
-    assert got_nodes == quotient_nodes(nodes)
-    got_edges = set()
-    for i in range(len(g)):
-        src = g.config(i)
-        src_t = tuple(sorted(sum(([q] * c for q, c in src.counts), [])))
-        for j in g.successors_of(i):
-            dst = g.config(int(j))
-            got_edges.add((src_t, tuple(sorted(sum(([q] * c for q, c in dst.counts), [])))))
-    assert got_edges == quotient_edges(edges)
+    _assert_matches_agents(p, g, nodes, edges)
     # Soundness verdicts agree.
     oracle_sound = not any(any(q in p.q1 for q in cfg) for cfg in nodes)
     assert (not (g.occurring & p.q1)) == oracle_sound
@@ -177,8 +192,9 @@ def test_asymmetric_protocol_supported() -> None:
 
 def test_one_sided_cell_keeps_identity_self_loop() -> None:
     # Only the (S2, S1) order has a rule; the unlisted (S1, S2) order is an
-    # identity encounter, so {S1, S2} must carry a self-loop exactly like
-    # the agent-indexed semantics does.  (Found by the randomized test.)
+    # identity encounter, so successors() of {S1, S2} must include itself
+    # exactly like the agent-indexed semantics does, while its graph row
+    # lists only the move.  (Found by the randomized test.)
     p = fp.make_protocol(
         "onesided", ["S0", "S1", "S2"], "S0", [],
         {("S0", "S0"): [("S1", "S2")], ("S2", "S1"): [("S0", "S0")]},
@@ -189,13 +205,10 @@ def test_one_sided_cell_keeps_identity_self_loop() -> None:
     assert succ == {c, fp.Configuration.from_pairs({0: 2})}
     nodes, edges = agent_graph(p, 2)
     g = fp.reach(p, 2)
-    got_edges = set()
-    for i in range(len(g)):
-        src = tuple(sorted(sum(([q] * k for q, k in g.config(i).counts), [])))
-        for j in g.successors_of(i):
-            dst = tuple(sorted(sum(([q] * k for q, k in g.config(int(j)).counts), [])))
-            got_edges.add((src, dst))
-    assert got_edges == quotient_edges(edges)
+    assert [g.config(int(j)) for j in g.successors_of(g.index_of(c))] == [
+        fp.Configuration.from_pairs({0: 2})
+    ]
+    _assert_matches_agents(p, g, nodes, edges)
 
 
 def test_nondeterministic_protocol_supported() -> None:
@@ -273,10 +286,10 @@ def test_scc_matches_brute_force(fam: str, d: int, n: int) -> None:
     # Bottom components have no outgoing inter-component edge...
     for v in range(len(g)):
         for w in g.successors_of(v):
-            if int(g.scc[v]) in g.bottom_sccs:
+            if g.bottom[g.scc[v]]:
                 assert g.scc[int(w)] == g.scc[v]
     # ...and every node can reach one.
-    bottom = np.array([int(g.scc[v]) in g.bottom_sccs for v in range(len(g))])
+    bottom = np.array([g.bottom[g.scc[v]] for v in range(len(g))])
     assert fp.can_reach_predicate(g, bottom).all()
 
 
@@ -375,6 +388,9 @@ def test_json_omits_identity_cells() -> None:
         lambda o: o.__setitem__("delta", [["NB(1)", "NB(1)", []]]),
         lambda o: o.__setitem__("delta", o["delta"] + [o["delta"][0]]),
         lambda o: o.__setitem__("q1", ["NOPE"]),
+        lambda o: o.__setitem__("q_init", ["NB(1)"]),
+        lambda o: o.__setitem__("q1", [["FINAL"]]),
+        lambda o: o.__setitem__("name", 7),
     ],
 )
 def test_json_parse_rejects_malformed(mangle) -> None:
@@ -449,18 +465,9 @@ def _assert_matches_reference(p: fp.Protocol, n: int) -> None:
     nodes, edges = agent_graph(p, n)
     g = fp.reach(p, n)
     record_size(len(g))
-    got_nodes = {tuple(sorted(sum(([q] * c for q, c in cfg.counts), []))) for cfg in g.configurations()}
-    assert got_nodes == quotient_nodes(nodes)
-    got_edges = set()
-    for i in range(len(g)):
-        # The scalar kernel behind successors() is a second, independent
-        # derivation of every graph row.
-        assert fp.successors(p, g.config(i)) == {g.config(int(j)) for j in g.successors_of(i)}
-        src = tuple(sorted(sum(([q] * c for q, c in g.config(i).counts), [])))
-        for j in g.successors_of(i):
-            dst = tuple(sorted(sum(([q] * c for q, c in g.config(int(j)).counts), [])))
-            got_edges.add((src, dst))
-    assert got_edges == quotient_edges(edges)
+    # The scalar kernel behind successors() is a second, independent
+    # derivation of every graph row.
+    _assert_matches_agents(p, g, nodes, edges)
 
 
 @given(small_protocols(), st.integers(1, 3))
@@ -509,7 +516,9 @@ def _assert_matches_sequential_bfs(p: fp.Protocol, n: int) -> None:
     assert g.counts_matrix.tolist() == [list(c) for c in nodes]
     assert [g.successors_of(i).tolist() for i in range(len(g))] == rows
     for i in range(len(g)):
-        assert fp.successors(p, g.config(i)) == {g.config(int(j)) for j in g.successors_of(i)}
+        c = g.config(i)
+        assert i not in rows[i]
+        assert fp.successors(p, c) - {c} == {g.config(j) for j in rows[i]}
 
 
 @settings(max_examples=40)

@@ -130,7 +130,7 @@ def test_consensus_failure_witness_in_bottom_scc() -> None:
     g = fp.reach(m, 7)
     i = g.index_of(v.witness)
     assert i is not None
-    assert int(g.scc[i]) in g.bottom_sccs
+    assert g.bottom[g.scc[i]]
     assert not v.witness.unanimous_in(m.q1)
 
 
