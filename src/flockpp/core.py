@@ -347,6 +347,10 @@ def successors(p: Protocol, c: Configuration) -> set[Configuration]:
     return result
 
 
+#: Edges scanned at once when :attr:`ReachGraph.bottom` is first read.
+_EDGE_CHUNK = 8_000_000
+
+
 class ReachGraph:
     """The multiset reachability graph of a protocol at population size n.
 
@@ -436,14 +440,15 @@ class ReachGraph:
     def bottom(self) -> np.ndarray:
         """Boolean per component label: true when no edge leaves it, so
         ``bottom[scc]`` masks the nodes of bottom components."""
-        # Scan edges in chunks to bound transient memory on large graphs.
+        # Scan edges in chunks, with the rows that hold each chunk, to bound
+        # transient memory on large graphs.
         bottom = np.ones(int(self.scc.max()) + 1, dtype=bool)
-        out_deg = np.diff(self.indptr)
-        srcs = np.repeat(np.arange(len(self), dtype=np.int32), out_deg)
-        chunk = 8_000_000
-        for lo in range(0, self.targets.shape[0], chunk):
-            hi = lo + chunk
-            ls = self.scc[srcs[lo:hi]]
+        num_edges = self.targets.shape[0]
+        for lo in range(0, num_edges, _EDGE_CHUNK):
+            hi = min(lo + _EDGE_CHUNK, num_edges)
+            r0, r1 = self.indptr.searchsorted((lo, hi - 1), side="right") - 1
+            per_row = np.diff(self.indptr[r0 : r1 + 2].clip(lo, hi))
+            ls = np.repeat(self.scc[r0 : r1 + 1], per_row)
             lt = self.scc[self.targets[lo:hi]]
             bottom[ls[ls != lt]] = False
         return bottom
@@ -463,12 +468,11 @@ _ODD = np.uint64(0x9E3779B97F4A7C15)
 
 
 def _fingerprint(limbs: np.ndarray) -> np.ndarray:
-    """A 64-bit fingerprint of each row of packed limbs.
+    """A 64-bit fingerprint of each row of two or more packed limbs.
 
-    With one limb the fingerprint is the key itself.  Wider keys are folded
-    in limb by limb (xor-shift, multiply by an odd constant, xor the next
-    limb), so unequal keys may share a fingerprint; the search confirms
-    every fingerprint match on the full limbs.
+    The limbs are folded in one by one (xor-shift, multiply by an odd
+    constant, xor the next limb), so unequal keys may share a fingerprint;
+    the search confirms every fingerprint match on the full limbs.
     """
     fp = limbs[:, 0]
     for w in range(1, limbs.shape[1]):
@@ -476,22 +480,27 @@ def _fingerprint(limbs: np.ndarray) -> np.ndarray:
     return fp
 
 
-def _group_keys(keys: np.ndarray, fps: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort order of packed ``keys`` that makes equal keys adjacent,
-    and for each sorted position after the first whether its key differs
-    from the one before.
+def _group_keys(fps: np.ndarray, keys: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Stable sort order that makes equal keys adjacent, and for each sorted
+    position whether its key differs from the one before (true at 0).
 
-    The order is by fingerprint ``fps``; only when unequal keys share a
-    fingerprint does it sort by the limbs within each fingerprint too.
+    ``fps`` are the keys themselves when ``keys`` is None.  Otherwise they
+    are fingerprints of the packed ``keys``, and only when unequal keys
+    share a fingerprint does the order sort by the limbs within each
+    fingerprint too.
     """
     order = fps.argsort(kind="stable")
     sfp = fps[order]
-    skey = keys[order]
-    fresh = np.logical_or.reduce(skey[1:] != skey[:-1], axis=1)
-    if np.count_nonzero(fresh) != np.count_nonzero(sfp[1:] != sfp[:-1]):
-        order = np.lexsort((*keys.T[::-1], fps))
+    fresh = np.empty(len(fps), dtype=bool)
+    fresh[:1] = True
+    np.not_equal(sfp[1:], sfp[:-1], out=fresh[1:])
+    if keys is not None:
         skey = keys[order]
-        fresh = np.logical_or.reduce(skey[1:] != skey[:-1], axis=1)
+        differ = np.logical_or.reduce(skey[1:] != skey[:-1], axis=1)
+        if np.count_nonzero(differ) != np.count_nonzero(fresh[1:]):
+            order = np.lexsort((*keys.T[::-1], fps))
+            skey = keys[order]
+            fresh[1:] = np.logical_or.reduce(skey[1:] != skey[:-1], axis=1)
     return order, fresh
 
 
@@ -514,8 +523,10 @@ class _LevelSearch:
     node-by-node BFS that tries each node's cell results of
     ``Protocol._cells`` in order.  Each new node is labelled with the cell
     result that first reached it, a row index of ``Protocol._rules``.
-    Visited nodes are kept as sorted fingerprints with node ids, and their
-    limbs by id.
+    Visited nodes are kept as sorted keys with node ids, and their limbs by
+    id.  A key of one limb is compared directly; wider keys are sorted by a
+    64-bit fingerprint, and every fingerprint match is confirmed on the
+    limbs.
     """
 
     def __init__(self, p: Protocol, n_max: int, sizes: Sequence[int]):
@@ -523,16 +534,15 @@ class _LevelSearch:
         bits = n_max.bit_length()
         per = 64 // bits
         width = -(-nq // per)
-        cells = p._cells
-        self.cell_a = np.array([a for a, _, _, _ in cells], dtype=np.intp)
-        self.cell_b = np.array([b for _, b, _, _ in cells], dtype=np.intp)
+        self.exact = width == 1
+        rules = p._rules
+        self.app_a, self.app_b = rules[:, :2].T.copy()
         # A diagonal cell needs two agents of its state, any other one of each.
-        self.cell_min = (self.cell_a == self.cell_b).astype(np.uint8)
-        self.app_cell = np.array([i for i, c in enumerate(cells) for _ in c[3]], dtype=np.intp)
-        rows = np.arange(len(self.app_cell))
+        self.app_min = (self.app_a == self.app_b).astype(np.uint8)
+        rows = np.arange(len(rules))
         step = np.zeros((len(rows), per * width), dtype=np.int64)
         for col, sign in enumerate((-1, -1, 1, 1)):
-            np.add.at(step, (rows, p._rules[:, col]), sign)
+            np.add.at(step, (rows, rules[:, col]), sign)
         # Negative steps wrap modulo 2**8 and 2**64, which the adds undo.
         self.app_counts = step[:, :nq].astype(np.uint8)
         shift = (np.arange(per) * bits).astype(np.uint64)
@@ -546,10 +556,17 @@ class _LevelSearch:
         self.cnt[:, p.q_init] = sizes
         self.num_nodes = len(sizes)
         self._limbs = self.lim.copy()  # limbs by node id; rows past num_nodes are spare
-        fps = _fingerprint(self.lim)
+        fps, _ = self._sort_keys(self.lim)
         order = np.argsort(fps, kind="stable")
         self._fps = fps[order]
         self._ids = order.astype(np.int32)
+
+    def _sort_keys(self, limbs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+        """The sort key of each row of packed ``limbs``, and the limbs to
+        confirm a key match on: none when the key is the single limb."""
+        if self.exact:
+            return limbs[:, 0], None
+        return _fingerprint(limbs), limbs
 
     def expand(self, edges: bool) -> tuple[np.ndarray, ...]:
         """Replace the frontier by the next level.
@@ -569,10 +586,13 @@ class _LevelSearch:
         target node ids of all edges, grouped by row in cell-result order.
         No edge is a self-loop: every cell result changes the multiset.
         """
-        parts = [self._expand_block(lo, edges) for lo in range(0, len(self.cnt), _BLOCK_ROWS)]
-        joined = [col[0] if len(col) == 1 else np.concatenate(col) for col in zip(*parts)]
-        self.lim, self.cnt = joined[:2]
-        return tuple(joined[2:])
+        if len(self.cnt) <= _BLOCK_ROWS:
+            cols = self._expand_block(0, edges)
+        else:
+            parts = [self._expand_block(lo, edges) for lo in range(0, len(self.cnt), _BLOCK_ROWS)]
+            cols = [np.concatenate(col) for col in zip(*parts)]
+        self.lim, self.cnt, *cols = cols
+        return tuple(cols)
 
     def _expand_block(self, lo: int, edges: bool) -> tuple[np.ndarray, ...]:
         """Expand frontier rows ``lo .. lo + _BLOCK_ROWS`` and register the
@@ -580,19 +600,17 @@ class _LevelSearch:
         columns for these rows."""
         lim = self.lim[lo : lo + _BLOCK_ROWS]
         cnt = self.cnt[lo : lo + _BLOCK_ROWS]
-        enabled = (cnt[:, self.cell_a] > self.cell_min) & (cnt[:, self.cell_b] > 0)
-        parent, app = np.nonzero(enabled[:, self.app_cell])
+        enabled = (cnt.take(self.app_a, axis=1) > self.app_min) & (cnt.take(self.app_b, axis=1) > 0)
+        parent, app = enabled.nonzero()
         cand = lim[parent] + self.app_limbs[app]
-        k = len(parent)
 
-        fps = _fingerprint(cand)
-        order, fresh = _group_keys(cand, fps)
+        fps, keys = self._sort_keys(cand)
+        order, fresh = _group_keys(fps, keys)
         # One group per distinct key, in sorted order; its first member is
         # its first appearance.
-        start = np.concatenate(((k > 0,), fresh)).nonzero()[0]
-        first = order[start]
+        first = order[fresh]
         gfp = fps[first]
-        gid, at = self._lookup(gfp, cand[first])
+        gid, at = self._lookup(gfp, None if keys is None else keys[first])
         new = (gid < 0).nonzero()[0]
         by_appearance = first[new].argsort()
         gid[new[by_appearance]] = np.arange(self.num_nodes, self.num_nodes + len(new))
@@ -606,26 +624,25 @@ class _LevelSearch:
         new_lim = cand[new_from]
         self._limbs[self.num_nodes : end] = new_lim
         self.num_nodes = end
-        old_cnt = cnt[parent[new_from]]
-        new_cnt = old_cnt + self.app_counts[app[new_from]]
+        src, rule = parent[new_from], app[new_from]
+        old_cnt = cnt[src]
+        new_cnt = old_cnt + self.app_counts[rule]
         # A count wrapped below zero reads 254 or 255; only then can the new
         # nodes' counts fail to sum to their parents'.
         if new_cnt.max(initial=0) >= 254 and (
             new_cnt.sum(dtype=np.int64) != old_cnt.sum(dtype=np.int64)
         ):
             raise RuntimeError("a uint8 state count wrapped: a cell fired without its agents")
-        labels = (lo + parent[new_from], app[new_from])
+        labels = (lo + src, rule)
         if not edges:
             return new_lim, new_cnt, *labels
 
         # Repeats of one key from one row are adjacent within its group.
         sparent = parent[order]
-        keep = np.ones(k, dtype=bool)
-        keep[order[1:]] = fresh | (sparent[1:] != sparent[:-1])
-        group = np.zeros(k, dtype=np.intp)
-        np.add.accumulate(fresh, dtype=np.intp, out=group[1:])
-        target = np.empty(k, dtype=np.int32)
-        target[order] = gid[group]
+        keep = np.ones(len(parent), dtype=bool)
+        keep[order[1:]] = fresh[1:] | (sparent[1:] != sparent[:-1])
+        target = np.empty(len(parent), dtype=np.int32)
+        target[order] = gid[np.cumsum(fresh) - 1]
         degree = np.bincount(parent[keep], minlength=len(cnt)).astype(np.int32)
         return new_lim, new_cnt, *labels, degree, target[keep]
 
@@ -634,13 +651,17 @@ class _LevelSearch:
         self.lim = self.lim[keep]
         self.cnt = self.cnt[keep]
 
-    def _lookup(self, gfp: np.ndarray, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node id of each key (-1 if unvisited), and each fingerprint's
-        insertion point in the sorted visited fingerprints."""
+    def _lookup(self, gfp: np.ndarray, keys: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Node id of each sort key (-1 if unvisited), and its insertion
+        point in the sorted visited keys.  Unless ``keys`` is None, a match
+        is a fingerprint match and is confirmed on the limbs ``keys``."""
         fps = self._fps
         at = fps.searchsorted(gfp)
+        match = fps.take(at, mode="clip") == gfp
+        if keys is None:
+            return np.where(match, self._ids.take(at, mode="clip"), -1), at
         gid = np.full(len(gfp), -1, dtype=np.int64)
-        todo = (fps[np.minimum(at, len(fps) - 1)] == gfp).nonzero()[0]
+        todo = match.nonzero()[0]
         pos = at[todo]
         while todo.size:
             ids = self._ids[pos]
@@ -679,20 +700,29 @@ def _cap_message(p: Protocol, n: int, node_cap: int) -> str:
 def _levels(p: Protocol, n: int, node_cap: int, edges: bool) -> Iterator[tuple]:
     """Checks ``n`` and ``node_cap``, then yields ``(search, tree, cols)`` at the root of the
     search from ``I_n`` and after each level, raising :class:`CapExceeded` at the first past the
-    cap: the BFS tree so far, in ``ReachGraph.tree`` blocks, and the expand's other columns."""
+    cap: the BFS tree so far as one ``(parents, rules)`` pair per level, which :func:`_tree`
+    joins, and the expand's other columns."""
     _check_population(n)
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
     search = _LevelSearch(p, n, [n])
-    tree = [np.zeros((2, 1), dtype=np.int32)]
+    tree = [(np.zeros(1, dtype=np.intp),) * 2]
     yield search, tree, []
     while len(search.cnt):
         base = search.num_nodes - len(search.cnt)
         new_from, new_app, *cols = search.expand(edges)
-        tree.append(np.array((base + new_from, new_app), dtype=np.int32))
+        tree.append((base + new_from, new_app))
         if search.num_nodes > node_cap:
             raise CapExceeded(_cap_message(p, n, node_cap), node_cap=node_cap)
         yield search, tree, cols
+
+
+def _tree(levels: list[tuple[np.ndarray, np.ndarray]]) -> np.ndarray:
+    """The ``ReachGraph.tree`` of :func:`_levels`' per-level pairs."""
+    tree = np.empty((2, sum(len(parents) for parents, _ in levels)), dtype=np.int32)
+    for row, cols in zip(tree, zip(*levels)):
+        np.concatenate(cols, out=row)
+    return tree
 
 
 def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
@@ -717,7 +747,7 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     indptr = np.zeros(len(counts_matrix) + 1, dtype=np.int64)
     np.cumsum(np.concatenate(degrees), out=indptr[1:])
     del counts, degrees
-    return ReachGraph(p, n, counts_matrix, indptr, np.concatenate(targets), np.concatenate(tree, axis=1))
+    return ReachGraph(p, n, counts_matrix, indptr, np.concatenate(targets), _tree(tree))
 
 
 def can_reach_predicate(g: ReachGraph, good: np.ndarray) -> np.ndarray:

@@ -35,6 +35,7 @@ from .core import (
     Protocol,
     ReachGraph,
     _levels,
+    _tree,
     can_reach_predicate,
     reach,
 )
@@ -150,10 +151,18 @@ def check_completeness(
     """Every reachable configuration can still reach an accepting one.
 
     ``AG EF Q1``: the bad nodes cannot reach a node with a Q1 agent, and the
-    witness on failure is the first of them in BFS order.
+    witness on failure is the first of them in BFS order.  Every node
+    reaches a bottom component and no path leaves one, so this holds iff
+    every bottom component has a node with a Q1 agent; only a failing check
+    needs the backward closure, to find its bad nodes.
     """
     g = _graph_for(p, n, node_cap, graph)
-    return _verdict(g, ~can_reach_predicate(g, _holding(g, p.q1)))
+    accepting = _holding(g, p.q1)
+    with_q1 = np.zeros(len(g.bottom), dtype=bool)
+    with_q1[g.scc[accepting]] = True
+    if not (g.bottom & ~with_q1).any():
+        return HOLDS
+    return _verdict(g, ~can_reach_predicate(g, accepting))
 
 
 def check_consensus(
@@ -328,20 +337,24 @@ class TraceStep:
 def _walk(p: Protocol, tree: np.ndarray, i: int, counts: np.ndarray) -> list[TraceStep]:
     """The steps from ``I_n`` to node ``i`` with count row ``counts`` along
     the first parents of a BFS ``tree``, undoing each step's rule."""
-    counts = counts.tolist()
-    steps: list[TraceStep] = []
+    path: list[int] = []
     while i:
-        a, b, c, d = p._rules[tree[1, i]].tolist()
-        after = Configuration.from_pairs(enumerate(counts))
+        path.append(i)
+        i = tree[0, i]
+    counts = counts.tolist()
+    n = sum(counts)
+    names = [s.name for s in p.states]
+    steps: list[TraceStep] = []
+    for a, b, c, d in p._rules[tree[1, path]].tolist():
+        after = Configuration(tuple((q, k) for q, k in enumerate(counts) if k), n)
         if (c, d) not in p.delta_of(a, b):
             # A result of delta(b, a), which the cell lists swapped.
             a, b, c, d = b, a, d, c
-        steps.append(TraceStep((p.display(a), p.display(b)), (p.display(c), p.display(d)), after))
+        steps.append(TraceStep((names[a], names[b]), (names[c], names[d]), after))
         counts[a] += 1
         counts[b] += 1
         counts[c] -= 1
         counts[d] -= 1
-        i = tree[0, i]
     steps.reverse()
     return steps
 
@@ -377,4 +390,4 @@ def encounter_trace(
         if not len(search.cnt):
             raise ValueError(f"target {target} is not reachable from I_{n}")
         search, tree, _ = next(levels)
-    return _walk(p, np.concatenate(tree, axis=1), search.num_nodes - len(search.cnt) + hit[0], want)
+    return _walk(p, _tree(tree), search.num_nodes - len(search.cnt) + hit[0], want)

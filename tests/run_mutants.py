@@ -42,14 +42,20 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         "_verdict(g, ~can_reach_predicate(",
         "_verdict(g, can_reach_predicate(",
     ),
+    (
+        "completeness counts every component as accepting",
+        VERIFY,
+        "with_q1[g.scc[accepting]] = True",
+        "with_q1[g.scc] = True",
+    ),
     ("consensus checks the wrong side", VERIFY, "p.q0 if r == 1 else p.q1", "p.q1 if r == 1 else p.q0"),
     ("consensus looks outside bottom SCCs", VERIFY, "g.bottom[g.scc] & ", ""),
     ("self-loop test off by one", CORE, "doubled > enabled_no_id", "doubled >= enabled_no_id"),
     (
         "diagonal cell enabled by one agent",
         CORE,
-        "self.cell_min = (self.cell_a == self.cell_b)",
-        "self.cell_min = (self.cell_a < 0)",
+        "self.app_min = (self.app_a == self.app_b)",
+        "self.app_min = (self.app_a < 0)",
     ),
     ("edges inside an SCC leave it", CORE, "bottom[ls[ls != lt]] = False", "bottom[ls] = False"),
     ("trace keeps swapped labels", VERIFY, "a, b, c, d = b, a, d, c", "pass"),
@@ -75,9 +81,10 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     (
         "no fallback on fingerprint collisions",
         CORE,
-        "if np.count_nonzero(fresh) != np.count_nonzero(sfp[1:] != sfp[:-1]):",
+        "if np.count_nonzero(differ) != np.count_nonzero(fresh[1:]):",
         "if False:",
     ),
+    ("multi-limb keys treated as exact", CORE, "self.exact = width == 1", "self.exact = True"),
 ]
 
 #: A mutated run this many times slower than the unmutated one is stopped

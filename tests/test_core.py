@@ -130,7 +130,7 @@ def test_wrapped_count_fails_fast() -> None:
     # wraps to 255, and the search would run on through configurations that
     # do not exist.
     search = core._LevelSearch(fp.build_protocol_b(7), 3, [3])
-    search.cell_min[:] = 0
+    search.app_min[:] = 0
     with pytest.raises(RuntimeError, match="wrapped"):
         while len(search.cnt):
             search.expand(edges=True)
@@ -291,6 +291,19 @@ def test_scc_matches_brute_force(fam: str, d: int, n: int) -> None:
     # ...and every node can reach one.
     bottom = np.array([g.bottom[g.scc[v]] for v in range(len(g))])
     assert fp.can_reach_predicate(g, bottom).all()
+
+
+@pytest.mark.parametrize("chunk", [1, 3, 64])
+def test_bottom_does_not_depend_on_edge_chunks(monkeypatch, chunk: int) -> None:
+    # Un-accepting FINAL pairs at n = 7: five bottom components, each a node
+    # without edges, so chunks also start and end next to empty rows.
+    monkeypatch.setattr(core, "_EDGE_CHUNK", chunk)
+    for p, n in [(build_mutant(MUTATIONS[2]), 7), (fp.build_protocol_b(7), 10)]:
+        g = fp.reach(p, n)
+        src = g.scc[np.repeat(np.arange(len(g)), np.diff(g.indptr))]
+        want = np.ones(int(g.scc.max()) + 1, dtype=bool)
+        want[src[src != g.scc[g.targets]]] = False
+        assert np.array_equal(g.bottom, want)
 
 
 def test_can_reach_predicate_maps_mask_to_mask() -> None:
@@ -535,13 +548,21 @@ def test_nontrivial_protocols_match_sequential_bfs(p: fp.Protocol, n: int) -> No
     _assert_matches_sequential_bfs(p, n)
 
 
-#: One-limb keys, then keys of two limbs (21 states with 16 or 12 fields to
-#: a limb).
-SEARCH_CELLS = [("b", 7, 10), ("a", 7, 9), ("angluin", 20, 10), ("angluin", 20, 21)]
+#: One-limb keys, then keys of two limbs in each family that has them (21
+#: states with 16 or 12 fields to a limb, 13 states with 12).  Occurrence
+#: sweeps run up to the cell's n.
+SEARCH_CELLS = [
+    ("b", 7, 10),
+    ("a", 7, 9),
+    ("angluin", 20, 10),
+    ("angluin", 20, 21),
+    ("a", 63, 31),
+    ("b", 66, 28),
+]
 
 #: Search internals that must not change a result: four fingerprints for
-#: every key, so that nearly every lookup collides, and blocks of three
-#: frontier rows.
+#: every key of two or more limbs, so that nearly every lookup collides, and
+#: blocks of three frontier rows.
 SEARCH_PATCHES = {
     "collisions": ("_fingerprint", lambda limbs: limbs[:, 0] & np.uint64(3)),
     "blocks": ("_BLOCK_ROWS", 3),
@@ -555,7 +576,7 @@ def test_search_internals_leave_results_unchanged(
 ) -> None:
     p = fp.build_family(fam, d)
     g = fp.reach(p, n)
-    om = fp.occurrence_thresholds(p, d + 2)
+    om = fp.occurrence_thresholds(p, n)
     targets = [g.config(i) for i in (len(g) // 2, len(g) - 1)]
     traces = [fp.encounter_trace(p, n, t) for t in targets]
     monkeypatch.setattr(core, *SEARCH_PATCHES[patch])
@@ -563,5 +584,5 @@ def test_search_internals_leave_results_unchanged(
     assert np.array_equal(h.counts_matrix, g.counts_matrix)
     assert np.array_equal(h.indptr, g.indptr)
     assert np.array_equal(h.targets, g.targets)
-    assert fp.occurrence_thresholds(p, d + 2) == om
+    assert fp.occurrence_thresholds(p, n) == om
     assert [fp.encounter_trace(p, n, t) for t in targets] == traces
