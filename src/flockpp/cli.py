@@ -7,7 +7,9 @@ random run), ``check-file`` (validate and verify a protocol JSON file).
 
 Exit codes: 0 all checks hold, 1 some check failed, 2 usage or parse
 errors, 3 a reachability cap was exceeded.  Errors are also emitted as
-single-line JSON objects on stderr.  The environment variable
+single-line JSON objects on stderr; a node-cap overrun's object also gives
+``nodes``, the configurations found, and ``levels``, the BFS depth the
+search reached.  The environment variable
 ``FLOCKPP_NODE_CAP`` overrides the default reachability node cap; the
 ``--node-cap`` flag overrides both.
 """
@@ -28,8 +30,8 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 
 
-def _emit_error(kind: str, detail: str) -> None:
-    print(json.dumps({"error": kind, "detail": detail}), file=sys.stderr)
+def _emit_error(kind: str, detail: str, **fields: int | None) -> None:
+    print(json.dumps({"error": kind, "detail": detail, **fields}), file=sys.stderr)
 
 
 def _default_node_cap() -> int:
@@ -115,6 +117,7 @@ def _run_verify_reports(
     def show(rep: verify.VerificationReport) -> None:
         if rep.error is not None:
             print(f"n={rep.n:>3}  CAP EXCEEDED: {rep.error}")
+            _emit_error("CapExceeded", rep.error, nodes=rep.cap_nodes, levels=rep.cap_levels)
             return
         print(
             f"n={rep.n:>3}  nodes={rep.nodes_explored:>9}  bottom_sccs={rep.bottom_scc_count:>3}  "
@@ -333,7 +336,7 @@ def main(argv: list[str] | None = None) -> int:
         _emit_error("ProtocolError", str(exc))
         return EXIT_USAGE
     except core.CapExceeded as exc:
-        _emit_error("CapExceeded", str(exc))
+        _emit_error("CapExceeded", str(exc), nodes=exc.nodes, levels=exc.levels)
         return EXIT_CAP
     except ValueError as exc:
         _emit_error("ValueError", str(exc))

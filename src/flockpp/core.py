@@ -63,12 +63,16 @@ class CapExceeded(RuntimeError):
     """Reachability exploration grew beyond the node cap.
 
     Raised instead of returning a partial graph: every public result is
-    either exact or absent.
+    either exact or absent.  ``nodes`` is the number of configurations found
+    when the search stopped, more than ``node_cap``, and ``levels`` the BFS
+    depth it reached.
     """
 
-    def __init__(self, message: str, node_cap: int):
+    def __init__(self, message: str, node_cap: int, nodes: int, levels: int):
         super().__init__(message)
         self.node_cap = node_cap
+        self.nodes = nodes
+        self.levels = levels
 
 
 @dataclass(frozen=True, slots=True)
@@ -347,7 +351,8 @@ def successors(p: Protocol, c: Configuration) -> set[Configuration]:
     return result
 
 
-#: Edges scanned at once when :attr:`ReachGraph.bottom` is first read.
+#: Edges scanned at once when :attr:`ReachGraph.bottom` is first read; a
+#: longer row is scanned alone.
 _EDGE_CHUNK = 8_000_000
 
 
@@ -424,15 +429,24 @@ class ReachGraph:
 
     @cached_property
     def _csr(self) -> sparse.csr_matrix:
+        """The edges as an int8 matrix, the operand of the closure's
+        products: scipy copies float data on every product."""
         n = len(self)
         data = np.ones(self.targets.shape[0], dtype=np.int8)
         return sparse.csr_matrix((data, self.targets, self.indptr), shape=(n, n))
 
     @cached_property
     def scc(self) -> np.ndarray:
-        """Strongly connected component label (int32) of every node."""
+        """Strongly connected component label (int32) of every node.
+
+        scipy reads only the structure but casts the data to float64, so the
+        data is a zero-stride float64 view that the cast does not copy.
+        """
+        n = len(self)
+        ones = np.broadcast_to(np.float64(1.0), self.targets.shape)
+        edges = sparse.csr_matrix((ones, self.targets, self.indptr), shape=(n, n))
         _, labels = csgraph.connected_components(
-            self._csr, directed=True, connection="strong", return_labels=True
+            edges, directed=True, connection="strong", return_labels=True
         )
         return labels.astype(np.int32, copy=False)
 
@@ -440,17 +454,25 @@ class ReachGraph:
     def bottom(self) -> np.ndarray:
         """Boolean per component label: true when no edge leaves it, so
         ``bottom[scc]`` masks the nodes of bottom components."""
-        # Scan edges in chunks, with the rows that hold each chunk, to bound
-        # transient memory on large graphs.
-        bottom = np.ones(int(self.scc.max()) + 1, dtype=bool)
-        num_edges = self.targets.shape[0]
-        for lo in range(0, num_edges, _EDGE_CHUNK):
-            hi = min(lo + _EDGE_CHUNK, num_edges)
-            r0, r1 = self.indptr.searchsorted((lo, hi - 1), side="right") - 1
-            per_row = np.diff(self.indptr[r0 : r1 + 2].clip(lo, hi))
-            ls = np.repeat(self.scc[r0 : r1 + 1], per_row)
-            lt = self.scc[self.targets[lo:hi]]
-            bottom[ls[ls != lt]] = False
+        # An edge leaves its row's component iff its target's label differs,
+        # so a row has one iff the least or the greatest of its target labels
+        # differs from its own.  Rows are scanned in chunks of at most
+        # _EDGE_CHUNK edges, which bounds the transients on large graphs.
+        scc, indptr = self.scc, self.indptr
+        bottom = np.ones(int(scc.max()) + 1, dtype=bool)
+        r0 = 0
+        while r0 < len(self):
+            lo = indptr[r0]
+            r1 = max(int(indptr.searchsorted(lo + _EDGE_CHUNK, side="right")) - 1, r0 + 1)
+            rows = r0 + np.flatnonzero(np.diff(indptr[r0 : r1 + 1]))
+            if rows.size:  # reduceat needs a non-empty operand
+                at = indptr[rows] - lo
+                labels = scc[self.targets[lo : indptr[r1]]]
+                own = scc[rows]
+                leaves = np.minimum.reduceat(labels, at) != own
+                leaves |= np.maximum.reduceat(labels, at) != own
+                bottom[own[leaves]] = False
+            r0 = r1
         return bottom
 
 
@@ -700,20 +722,22 @@ def _cap_message(p: Protocol, n: int, node_cap: int) -> str:
 def _levels(p: Protocol, n: int, node_cap: int, edges: bool) -> Iterator[tuple]:
     """Checks ``n`` and ``node_cap``, then yields ``(search, tree, cols)`` at the root of the
     search from ``I_n`` and after each level, raising :class:`CapExceeded` at the first past the
-    cap: the BFS tree so far as one ``(parents, rules)`` pair per level, which :func:`_tree`
-    joins, and the expand's other columns."""
+    cap: the BFS tree so far as one int32 ``(parents, rules)`` pair per level, which
+    :func:`_tree` joins, and the expand's other columns."""
     _check_population(n)
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
     search = _LevelSearch(p, n, [n])
-    tree = [(np.zeros(1, dtype=np.intp),) * 2]
+    tree = [(np.zeros(1, dtype=np.int32),) * 2]
     yield search, tree, []
     while len(search.cnt):
         base = search.num_nodes - len(search.cnt)
         new_from, new_app, *cols = search.expand(edges)
-        tree.append((base + new_from, new_app))
+        tree.append(((base + new_from).astype(np.int32), new_app.astype(np.int32)))
         if search.num_nodes > node_cap:
-            raise CapExceeded(_cap_message(p, n, node_cap), node_cap=node_cap)
+            raise CapExceeded(
+                _cap_message(p, n, node_cap), node_cap, search.num_nodes, len(tree) - 1
+            )
         yield search, tree, cols
 
 
@@ -737,17 +761,27 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
     read.  Raises :class:`CapExceeded` iff more than ``node_cap`` nodes are
     reachable — never a partial graph.
     """
-    counts, degrees, targets = [], [], []
+    counts, degrees = [], []
+    targets = np.empty(0, dtype=np.int32)
     for search, tree, cols in _levels(p, n, node_cap, edges=True):
-        for part, col in zip((counts, degrees, targets), (search.cnt, *cols)):
-            part.append(col)
+        counts.append(search.cnt)
+        if cols:
+            degree, level = cols
+            degrees.append(degree)
+            # Append in place: resize reallocates, and the allocator grows a
+            # large block by remapping its pages, so the edges are never
+            # held twice.  Nothing else refers to the buffer, so the
+            # reference check is skipped.
+            end = len(targets)
+            targets.resize(end + len(level), refcheck=False)
+            targets[end:] = level
 
     del search  # the assembly below needs none of the search state
     counts_matrix = np.concatenate(counts)
     indptr = np.zeros(len(counts_matrix) + 1, dtype=np.int64)
     np.cumsum(np.concatenate(degrees), out=indptr[1:])
     del counts, degrees
-    return ReachGraph(p, n, counts_matrix, indptr, np.concatenate(targets), _tree(tree))
+    return ReachGraph(p, n, counts_matrix, indptr, targets, _tree(tree))
 
 
 def can_reach_predicate(g: ReachGraph, good: np.ndarray) -> np.ndarray:

@@ -85,8 +85,9 @@ class VerificationReport:
     """All check outcomes for one (protocol, n) pair.
 
     ``error`` is set (and every verdict is ``na``) when the reachability
-    closure exceeded the node cap; ``nodes_explored`` is then the cap, the
-    number of nodes discovered before exploration stopped, and
+    closure exceeded the node cap; ``nodes_explored`` is then the cap,
+    ``cap_nodes`` and ``cap_levels`` say how far the search got (the
+    :class:`CapExceeded` attributes ``nodes`` and ``levels``), and
     ``bottom_scc_count`` is ``None``, since the bottom components of the
     unexplored graph are unknown.  Cap overruns are reported, not raised,
     so a range sweep can continue past an oversized instance.
@@ -102,6 +103,8 @@ class VerificationReport:
     bottom_scc_count: int | None
     elapsed: float
     error: str | None = None
+    cap_nodes: int | None = None
+    cap_levels: int | None = None
 
     @property
     def all_hold(self) -> bool:
@@ -121,7 +124,11 @@ def _graph_for(p: Protocol, n: int, node_cap: int, graph: ReachGraph | None) -> 
 
 def _holding(g: ReachGraph, states: frozenset[int]) -> np.ndarray:
     """Mask of the nodes with at least one agent in ``states``."""
-    return (g.counts_matrix[:, sorted(states)] > 0).any(axis=1)
+    # One product copies no count column.  A node's counts sum to
+    # n <= 255 (core.MAX_POPULATION), so the uint8 sums cannot wrap.
+    pick = np.zeros(g.counts_matrix.shape[1], dtype=np.uint8)
+    pick[list(states)] = 1
+    return g.counts_matrix @ pick > 0
 
 
 def _verdict(g: ReachGraph, bad: np.ndarray) -> Verdict:
@@ -205,11 +212,12 @@ def verify_range(
     for n in range(n_lo, n_hi + 1):
         t0 = time.perf_counter()
         sound = complete = consensus = NA
-        error = None
+        error = cap_nodes = cap_levels = None
         try:
             g = reach(p, n, node_cap)
         except CapExceeded as exc:
             nodes, bottoms, error = exc.node_cap, None, str(exc)
+            cap_nodes, cap_levels = exc.nodes, exc.levels
         else:
             if n < d:
                 sound = check_soundness(p, n, graph=g)
@@ -223,6 +231,7 @@ def verify_range(
                         "stable consensus on 1 holds but completeness fails"
                     )
             nodes, bottoms = len(g), int(np.count_nonzero(g.bottom))
+            del g  # the next size's search must not hold this graph
         rep = VerificationReport(
             protocol_name=p.name,
             d=d,
@@ -234,6 +243,8 @@ def verify_range(
             bottom_scc_count=bottoms,
             elapsed=time.perf_counter() - t0,
             error=error,
+            cap_nodes=cap_nodes,
+            cap_levels=cap_levels,
         )
         reports.append(rep)
         if progress is not None:

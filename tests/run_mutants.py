@@ -57,18 +57,28 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         "self.app_min = (self.app_a == self.app_b)",
         "self.app_min = (self.app_a < 0)",
     ),
-    ("edges inside an SCC leave it", CORE, "bottom[ls[ls != lt]] = False", "bottom[ls] = False"),
+    ("edges inside an SCC leave it", CORE, "bottom[own[leaves]] = False", "bottom[own] = False"),
+    (
+        "bottom scan ignores the greatest target label",
+        CORE,
+        "                leaves |= np.maximum.reduceat(labels, at) != own\n",
+        "",
+    ),
     ("trace keeps swapped labels", VERIFY, "a, b, c, d = b, a, d, c", "pass"),
     (
         "reach checks the cap only at the end",
         CORE,
         """        if search.num_nodes > node_cap:
-            raise CapExceeded(_cap_message(p, n, node_cap), node_cap=node_cap)
+            raise CapExceeded(
+                _cap_message(p, n, node_cap), node_cap, search.num_nodes, len(tree) - 1
+            )
         yield search, tree, cols
 """,
         """        yield search, tree, cols
     if search.num_nodes > node_cap:
-        raise CapExceeded(_cap_message(p, n, node_cap), node_cap=node_cap)
+        raise CapExceeded(
+            _cap_message(p, n, node_cap), node_cap, search.num_nodes, len(tree) - 1
+        )
 """,
     ),
     (

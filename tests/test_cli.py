@@ -95,6 +95,21 @@ def test_verify_node_cap_exit_3(capsys) -> None:
     assert report["bottom_sccs"] is None
 
 
+def test_verify_cap_error_says_how_far_it_got(capsys) -> None:
+    args = ["verify", "--family", "b", "--d", "7", "--n-lo", "10", "--n-hi", "10"]
+    assert main([*args, "--node-cap", "10"]) == 3
+    with pytest.raises(fp.CapExceeded) as exc:
+        fp.reach(fp.build_protocol_b(7), 10, node_cap=10)
+    err = json.loads(capsys.readouterr().err)
+    assert err == {
+        "error": "CapExceeded",
+        "detail": str(exc.value),
+        "nodes": exc.value.nodes,
+        "levels": exc.value.levels,
+    }
+    assert (err["nodes"], err["levels"]) == (11, 6)
+
+
 def test_verify_failure_exit_1_with_trace(tmp_path, capsys) -> None:
     # A protocol whose accepting set includes the initial state is unsound
     # at n = 1; exercised through check-file to also cover parsing.

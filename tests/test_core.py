@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import event, given, settings, strategies as st
@@ -106,6 +108,13 @@ def test_reach_cap_exceeded() -> None:
     with pytest.raises(fp.CapExceeded) as exc:
         fp.reach(p, 10, node_cap=10)
     assert exc.value.node_cap == 10
+    # How far it got: every configuration within the BFS depth reached.
+    tree = fp.reach(p, 10).tree
+    depth = np.zeros(tree.shape[1], dtype=int)
+    for i in range(1, len(depth)):
+        depth[i] = depth[tree[0, i]] + 1
+    assert exc.value.nodes == np.count_nonzero(depth <= exc.value.levels) > 10
+    assert np.count_nonzero(depth < exc.value.levels) <= 10
 
 
 def test_reach_stops_at_the_level_that_passes_the_cap(monkeypatch) -> None:
@@ -293,17 +302,54 @@ def test_scc_matches_brute_force(fam: str, d: int, n: int) -> None:
     assert fp.can_reach_predicate(g, bottom).all()
 
 
-@pytest.mark.parametrize("chunk", [1, 3, 64])
+@pytest.mark.parametrize("chunk", [1, 2, 3, 64])
 def test_bottom_does_not_depend_on_edge_chunks(monkeypatch, chunk: int) -> None:
     # Un-accepting FINAL pairs at n = 7: five bottom components, each a node
-    # without edges, so chunks also start and end next to empty rows.
+    # without edges.  b(7) at n = 10 has rows longer than 3 edges, each
+    # scanned alone at chunks of 1 to 3, and at n = 1 no edges at all.  The
+    # hand-built graph has rows 0, 2 and 5 empty, so at chunks of 2 its
+    # first chunk, rows 0-2, starts and ends on an empty row.
     monkeypatch.setattr(core, "_EDGE_CHUNK", chunk)
-    for p, n in [(build_mutant(MUTATIONS[2]), 7), (fp.build_protocol_b(7), 10)]:
-        g = fp.reach(p, n)
-        src = g.scc[np.repeat(np.arange(len(g)), np.diff(g.indptr))]
-        want = np.ones(int(g.scc.max()) + 1, dtype=bool)
-        want[src[src != g.scc[g.targets]]] = False
-        assert np.array_equal(g.bottom, want)
+    p = fp.build_protocol_b(7)
+    hand = fp.ReachGraph(
+        p,
+        7,
+        np.zeros((6, p.num_states), dtype=np.uint8),
+        np.array([0, 0, 2, 2, 3, 5, 5]),
+        np.array([2, 3, 1, 5, 0], dtype=np.int32),
+        np.zeros((2, 6), dtype=np.int32),
+    )
+    graphs = [fp.reach(build_mutant(MUTATIONS[2]), 7), fp.reach(p, 10), fp.reach(p, 1), hand]
+    assert np.diff(graphs[1].indptr).max() > 3 and graphs[2].num_edges == 0
+    for g in graphs:
+        src = np.repeat(np.arange(len(g)), np.diff(g.indptr))
+        # scipy numbers the components so that edges between them run to
+        # lower labels; the reversed numbering makes them run to higher ones.
+        for scc in (g.scc, g.scc.max() - g.scc):
+            relabelled = fp.ReachGraph(g.protocol, g.n, g.counts_matrix, g.indptr, g.targets, g.tree)
+            relabelled.scc = scc
+            want = np.ones(int(scc.max()) + 1, dtype=bool)
+            want[scc[src][scc[src] != scc[g.targets]]] = False
+            assert np.array_equal(relabelled.bottom, want)
+    assert hand.bottom[hand.scc].tolist() == [True, False, True, False, False, True]
+
+
+def test_scc_and_bottom_copy_no_edges() -> None:
+    # scipy casts a graph's data to float64, which copied 8 B per edge plus
+    # the indices (15.9 B/edge in all), until the SCC pass handed it
+    # zero-stride float64 data; the bottom scan held source labels per edge
+    # (13.5 B/edge).  Measured here: 2.3 and 8.1 B/edge.
+    g = fp.reach(fp.build_protocol_a(14), 17)
+    assert g.num_edges > 100_000
+    tracemalloc.start()
+    try:
+        for name, bound in [("scc", 4), ("bottom", 10)]:
+            tracemalloc.reset_peak()
+            base = tracemalloc.get_traced_memory()[0]
+            getattr(g, name)
+            assert tracemalloc.get_traced_memory()[1] - base < bound * g.num_edges, name
+    finally:
+        tracemalloc.stop()
 
 
 def test_can_reach_predicate_maps_mask_to_mask() -> None:

@@ -3,11 +3,14 @@
 from __future__ import annotations
 
 import random
+import weakref
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import flockpp as fp
+from flockpp import verify
+from flockpp.core import reach
 from flockpp.verify import TABLE_COLUMNS
 from mutations import MUTATIONS, build_mutant, rewrite_encounter
 from oracle import first_witnesses, sequential_trace
@@ -66,6 +69,7 @@ def test_verify_range_continues_past_cap() -> None:
     by_n = {r.n: r for r in reports}
     # 18 nodes at n=7 fit under the cap of 20; 32 at n=8 do not.
     assert by_n[7].all_hold
+    assert by_n[7].cap_nodes is by_n[7].cap_levels is None
     for n in (8, 9, 10):
         r = by_n[n]
         assert r.error is not None
@@ -73,6 +77,24 @@ def test_verify_range_continues_past_cap() -> None:
         assert r.sound.status == r.complete.status == r.consensus.status == "na"
         assert r.nodes_explored == 20  # exploration stopped at the cap
         assert r.bottom_scc_count is None
+        with pytest.raises(fp.CapExceeded) as exc:
+            fp.reach(p, n, node_cap=20)
+        assert (r.cap_nodes, r.cap_levels) == (exc.value.nodes, exc.value.levels)
+
+
+def test_verify_range_holds_one_graph_at_a_time(monkeypatch) -> None:
+    # Each size's graph is freed before the next size is searched.
+    graphs: list[weakref.ref] = []
+
+    def tracked(p, n, node_cap):
+        assert all(g() is None for g in graphs)
+        g = reach(p, n, node_cap)
+        graphs.append(weakref.ref(g))
+        return g
+
+    monkeypatch.setattr(verify, "reach", tracked)
+    assert all(r.all_hold for r in fp.verify_range(fp.build_protocol_b(7), 7, 5, 9))
+    assert len(graphs) == 5
 
 
 # -- individual checks -------------------------------------------------------
