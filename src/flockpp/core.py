@@ -234,16 +234,6 @@ class Configuration:
                 return c
         return 0
 
-    def support(self) -> tuple[int, ...]:
-        return tuple(q for q, _ in self.counts)
-
-    def contains_any(self, qs: frozenset[int]) -> bool:
-        return any(q in qs for q, _ in self.counts)
-
-    def unanimous_in(self, qs: frozenset[int]) -> bool:
-        """True when every agent is in a state from ``qs``."""
-        return all(q in qs for q, _ in self.counts)
-
     def pretty(self, p: Protocol) -> str:
         return " + ".join(f"{c}*{p.display(q)}" for q, c in self.counts)
 
@@ -478,51 +468,24 @@ class ReachGraph:
 
 # -- array-native exploration ------------------------------------------------
 #
-# A configuration is packed into W uint64 limbs: each state count is a field
-# of ``bits = n_max.bit_length()`` bits, ``64 // bits`` fields to a limb.  A
-# cell result adds one delta per limb.  Every field stays in [0, n_max] before
-# and after, so the wrapping uint64 add is exact and no carry or borrow
-# crosses a field or a limb.
+# A configuration's key holds its state counts as digits in radix n_max + 1,
+# as many to a uint64 word as ``(n_max + 1)**per <= 2**64`` allows.  In a
+# search from one root every configuration holds the root's agents, so the
+# last count is implied and is not a digit.  A cell result adds one delta per
+# word.  Every digit stays in [0, n_max] before and after, so the wrapping
+# uint64 add is exact and no carry or borrow crosses a digit or a word.  The
+# words of a key are compared as one value, a uint64 or a byte string, so
+# equal keys are equal configurations.
 
 
-_SHIFT = np.uint64(32)
-_ODD = np.uint64(0x9E3779B97F4A7C15)
-
-
-def _fingerprint(limbs: np.ndarray) -> np.ndarray:
-    """A 64-bit fingerprint of each row of two or more packed limbs.
-
-    The limbs are folded in one by one (xor-shift, multiply by an odd
-    constant, xor the next limb), so unequal keys may share a fingerprint;
-    the search confirms every fingerprint match on the full limbs.
-    """
-    fp = limbs[:, 0]
-    for w in range(1, limbs.shape[1]):
-        fp = ((fp ^ (fp >> _SHIFT)) * _ODD) ^ limbs[:, w]
-    return fp
-
-
-def _group_keys(fps: np.ndarray, keys: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Stable sort order that makes equal keys adjacent, and for each sorted
-    position whether its key differs from the one before (true at 0).
-
-    ``fps`` are the keys themselves when ``keys`` is None.  Otherwise they
-    are fingerprints of the packed ``keys``, and only when unequal keys
-    share a fingerprint does the order sort by the limbs within each
-    fingerprint too.
-    """
-    order = fps.argsort(kind="stable")
-    sfp = fps[order]
-    fresh = np.empty(len(fps), dtype=bool)
+    position whether its key differs from the one before (true at 0)."""
+    order = keys.argsort(kind="stable")
+    skey = keys[order]
+    fresh = np.empty(len(keys), dtype=bool)
     fresh[:1] = True
-    np.not_equal(sfp[1:], sfp[:-1], out=fresh[1:])
-    if keys is not None:
-        skey = keys[order]
-        differ = np.logical_or.reduce(skey[1:] != skey[:-1], axis=1)
-        if np.count_nonzero(differ) != np.count_nonzero(fresh[1:]):
-            order = np.lexsort((*keys.T[::-1], fps))
-            skey = keys[order]
-            fresh[1:] = np.logical_or.reduce(skey[1:] != skey[:-1], axis=1)
+    fresh[1:] = skey[1:] != skey[:-1]
     return order, fresh
 
 
@@ -536,59 +499,59 @@ _BLOCK_ROWS = 1 << 15
 class _LevelSearch:
     """Level-synchronous breadth-first search from the roots ``I_s``.
 
-    The frontier is a level of configurations as packed limbs (``lim``) and
-    uint8 count rows (``cnt``).  :meth:`expand` replaces it by the next
-    level: the configurations one encounter away that no earlier level or
-    earlier candidate of this level holds, numbered in the order they first
-    appear among the candidates.  Candidates are ordered by frontier row,
-    then cell, then result, so the numbering is the discovery order of a
+    The frontier is a level of configurations as keys (``key``) and uint8
+    count rows (``cnt``).  :meth:`expand` replaces it by the next level: the
+    configurations one encounter away that no earlier level or earlier
+    candidate of this level holds, numbered in the order they first appear
+    among the candidates.  Candidates are ordered by frontier row, then
+    cell, then result, so the numbering is the discovery order of a
     node-by-node BFS that tries each node's cell results of
     ``Protocol._cells`` in order.  Each new node is labelled with the cell
     result that first reached it, a row index of ``Protocol._rules``.
-    Visited nodes are kept as sorted keys with node ids, and their limbs by
-    id.  A key of one limb is compared directly; wider keys are sorted by a
-    64-bit fingerprint, and every fingerprint match is confirmed on the
-    limbs.
+    Visited nodes are kept as sorted keys with node ids.  A key is one
+    uint64 when its digits fit one word, and the 8W bytes of its words when
+    they need W; either way it is exact, so the search sorts and looks it up
+    directly.
     """
 
     def __init__(self, p: Protocol, n_max: int, sizes: Sequence[int]):
         nq = p.num_states
-        bits = n_max.bit_length()
-        per = 64 // bits
-        width = -(-nq // per)
-        self.exact = width == 1
+        radix = n_max + 1
+        digits = nq - (len(sizes) == 1)
+        per = 1
+        while radix ** (per + 1) <= 2**64:
+            per += 1
+        width = max(-(-digits // per), 1)
+        weight = np.uint64(radix) ** np.arange(per, dtype=np.uint64)
+
+        def words(counts: np.ndarray) -> np.ndarray:
+            # Negative counts wrap modulo 2**64, which the adds undo.
+            padded = np.zeros((len(counts), width * per), dtype=np.uint64)
+            padded[:, :digits] = counts[:, :digits].astype(np.uint64)
+            return (padded.reshape(-1, width, per) * weight).sum(axis=2, dtype=np.uint64)
+
         rules = p._rules
         self.app_a, self.app_b = rules[:, :2].T.copy()
         # A diagonal cell needs two agents of its state, any other one of each.
         self.app_min = (self.app_a == self.app_b).astype(np.uint8)
         rows = np.arange(len(rules))
-        step = np.zeros((len(rows), per * width), dtype=np.int64)
+        step = np.zeros((len(rows), nq), dtype=np.int64)
         for col, sign in enumerate((-1, -1, 1, 1)):
             np.add.at(step, (rows, rules[:, col]), sign)
-        # Negative steps wrap modulo 2**8 and 2**64, which the adds undo.
-        self.app_counts = step[:, :nq].astype(np.uint8)
-        shift = (np.arange(per) * bits).astype(np.uint64)
-        fields = step.astype(np.uint64).reshape(-1, width, per) << shift
-        self.app_limbs = fields.sum(axis=2, dtype=np.uint64)
+        # Negative steps wrap modulo 2**8, which the adds undo.
+        self.app_counts = step.astype(np.uint8)
+        self.app_words = words(step)
 
-        sizes = np.asarray(sizes, dtype=np.uint64)
-        self.lim = np.zeros((len(sizes), width), dtype=np.uint64)
-        self.lim[:, p.q_init // per] = sizes << np.uint64(p.q_init % per * bits)
         self.cnt = np.zeros((len(sizes), nq), dtype=np.uint8)
         self.cnt[:, p.q_init] = sizes
+        # Byte strings of one length are equal iff their bytes are, and
+        # numpy sorts them faster than raw void.
+        dtype = np.dtype(np.uint64) if width == 1 else np.dtype(f"S{8 * width}")
+        self.key = words(self.cnt).view(dtype).ravel()
         self.num_nodes = len(sizes)
-        self._limbs = self.lim.copy()  # limbs by node id; rows past num_nodes are spare
-        fps, _ = self._sort_keys(self.lim)
-        order = np.argsort(fps, kind="stable")
-        self._fps = fps[order]
+        order = np.argsort(self.key, kind="stable")
+        self._keys = self.key[order]
         self._ids = order.astype(np.int32)
-
-    def _sort_keys(self, limbs: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
-        """The sort key of each row of packed ``limbs``, and the limbs to
-        confirm a key match on: none when the key is the single limb."""
-        if self.exact:
-            return limbs[:, 0], None
-        return _fingerprint(limbs), limbs
 
     def expand(self, edges: bool) -> tuple[np.ndarray, ...]:
         """Replace the frontier by the next level.
@@ -613,39 +576,33 @@ class _LevelSearch:
         else:
             parts = [self._expand_block(lo, edges) for lo in range(0, len(self.cnt), _BLOCK_ROWS)]
             cols = [np.concatenate(col) for col in zip(*parts)]
-        self.lim, self.cnt, *cols = cols
+        self.key, self.cnt, *cols = cols
         return tuple(cols)
 
     def _expand_block(self, lo: int, edges: bool) -> tuple[np.ndarray, ...]:
         """Expand frontier rows ``lo .. lo + _BLOCK_ROWS`` and register the
-        new nodes; returns their limbs and counts, then :meth:`expand`'s
+        new nodes; returns their keys and counts, then :meth:`expand`'s
         columns for these rows."""
-        lim = self.lim[lo : lo + _BLOCK_ROWS]
+        key = self.key[lo : lo + _BLOCK_ROWS]
         cnt = self.cnt[lo : lo + _BLOCK_ROWS]
         enabled = (cnt.take(self.app_a, axis=1) > self.app_min) & (cnt.take(self.app_b, axis=1) > 0)
         parent, app = enabled.nonzero()
-        cand = lim[parent] + self.app_limbs[app]
+        words = key.view(np.uint64).reshape(len(key), -1)
+        cand = (words[parent] + self.app_words[app]).view(key.dtype).ravel()
 
-        fps, keys = self._sort_keys(cand)
-        order, fresh = _group_keys(fps, keys)
+        order, fresh = _group_keys(cand)
         # One group per distinct key, in sorted order; its first member is
         # its first appearance.
         first = order[fresh]
-        gfp = fps[first]
-        gid, at = self._lookup(gfp, None if keys is None else keys[first])
+        gkey = cand[first]
+        gid, at = self._lookup(gkey)
         new = (gid < 0).nonzero()[0]
         by_appearance = first[new].argsort()
         gid[new[by_appearance]] = np.arange(self.num_nodes, self.num_nodes + len(new))
-        self._merge(at[new], gfp[new], gid[new])
+        self._merge(at[new], gkey[new], gid[new])
+        self.num_nodes += len(new)
         new_from = first[new[by_appearance]]
-        end = self.num_nodes + len(new)
-        if end > len(self._limbs):
-            grown = np.empty((max(end, 2 * len(self._limbs)), lim.shape[1]), dtype=np.uint64)
-            grown[: self.num_nodes] = self._limbs[: self.num_nodes]
-            self._limbs = grown
-        new_lim = cand[new_from]
-        self._limbs[self.num_nodes : end] = new_lim
-        self.num_nodes = end
+        new_key = cand[new_from]
         src, rule = parent[new_from], app[new_from]
         old_cnt = cnt[src]
         new_cnt = old_cnt + self.app_counts[rule]
@@ -657,7 +614,7 @@ class _LevelSearch:
             raise RuntimeError("a uint8 state count wrapped: a cell fired without its agents")
         labels = (lo + src, rule)
         if not edges:
-            return new_lim, new_cnt, *labels
+            return new_key, new_cnt, *labels
 
         # Repeats of one key from one row are adjacent within its group.
         sparent = parent[order]
@@ -666,49 +623,29 @@ class _LevelSearch:
         target = np.empty(len(parent), dtype=np.int32)
         target[order] = gid[np.cumsum(fresh) - 1]
         degree = np.bincount(parent[keep], minlength=len(cnt)).astype(np.int32)
-        return new_lim, new_cnt, *labels, degree, target[keep]
+        return new_key, new_cnt, *labels, degree, target[keep]
 
     def prune(self, keep: np.ndarray) -> None:
         """Drop the frontier rows where ``keep`` is false from further search."""
-        self.lim = self.lim[keep]
+        self.key = self.key[keep]
         self.cnt = self.cnt[keep]
 
-    def _lookup(self, gfp: np.ndarray, keys: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
-        """Node id of each sort key (-1 if unvisited), and its insertion
-        point in the sorted visited keys.  Unless ``keys`` is None, a match
-        is a fingerprint match and is confirmed on the limbs ``keys``."""
-        fps = self._fps
-        at = fps.searchsorted(gfp)
-        match = fps.take(at, mode="clip") == gfp
-        if keys is None:
-            return np.where(match, self._ids.take(at, mode="clip"), -1), at
-        gid = np.full(len(gfp), -1, dtype=np.int64)
-        todo = match.nonzero()[0]
-        pos = at[todo]
-        while todo.size:
-            ids = self._ids[pos]
-            hit = np.logical_and.reduce(self._limbs[ids] == keys[todo], axis=1)
-            gid[todo[hit]] = ids[hit]
-            if hit.all():
-                break
-            # A fingerprint collision: try the next visited node with the
-            # same fingerprint.
-            todo, pos = todo[~hit], pos[~hit] + 1
-            inside = pos < len(fps)
-            todo, pos = todo[inside], pos[inside]
-            same = fps[pos] == gfp[todo]
-            todo, pos = todo[same], pos[same]
-        return gid, at
+    def _lookup(self, gkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Node id of each key (-1 if unvisited), and its insertion point in
+        the sorted visited keys."""
+        at = self._keys.searchsorted(gkey)
+        match = self._keys.take(at, mode="clip") == gkey
+        return np.where(match, self._ids.take(at, mode="clip"), -1), at
 
-    def _merge(self, at: np.ndarray, fps: np.ndarray, ids: np.ndarray) -> None:
-        """Insert sorted ``fps`` with their node ids before positions ``at``."""
+    def _merge(self, at: np.ndarray, keys: np.ndarray, ids: np.ndarray) -> None:
+        """Insert sorted ``keys`` with their node ids before positions ``at``."""
         dest = at + np.arange(len(at))
-        old = np.ones(len(self._fps) + len(at), dtype=bool)
+        old = np.ones(len(self._keys) + len(at), dtype=bool)
         old[dest] = False
-        merged = np.empty(len(old), dtype=np.uint64)
-        merged[dest] = fps
-        merged[old] = self._fps
-        self._fps = merged
+        merged = np.empty(len(old), dtype=self._keys.dtype)
+        merged[dest] = keys
+        merged[old] = self._keys
+        self._keys = merged
         merged = np.empty(len(old), dtype=np.int32)
         merged[dest] = ids
         merged[old] = self._ids

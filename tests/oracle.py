@@ -10,7 +10,8 @@ BFS that fixes the engine's node numbering and edge-row order,
 encounter traces, :func:`first_witnesses` reads the check verdicts and
 their first-bad-node witnesses off that BFS, and :func:`stepwise_run` is
 the plain simulator loop that fixes the seeded trajectory of
-:func:`flockpp.sim.run`.
+:func:`flockpp.sim.run`.  :func:`support`, :func:`contains_any` and
+:func:`unanimous_in` read a :class:`~flockpp.Configuration`.
 """
 
 from __future__ import annotations
@@ -19,6 +20,21 @@ from random import Random
 
 from flockpp import Configuration, Protocol
 from flockpp.sim import SimReport
+
+
+def support(c: Configuration) -> tuple[int, ...]:
+    """The states that hold at least one agent of ``c``."""
+    return tuple(q for q, _ in c.counts)
+
+
+def contains_any(c: Configuration, qs: frozenset[int]) -> bool:
+    """True when some agent of ``c`` is in a state from ``qs``."""
+    return any(q in qs for q, _ in c.counts)
+
+
+def unanimous_in(c: Configuration, qs: frozenset[int]) -> bool:
+    """True when every agent of ``c`` is in a state from ``qs``."""
+    return all(q in qs for q, _ in c.counts)
 
 
 def agent_graph(p: Protocol, n: int) -> tuple[set[tuple], set[tuple]]:

@@ -89,12 +89,12 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ),
     ("simulator redraw bound off by one", SIM, "while y >= m:", "while y > m:"),
     (
-        "no fallback on fingerprint collisions",
+        "last count implied with several roots",
         CORE,
-        "if np.count_nonzero(differ) != np.count_nonzero(fresh[1:]):",
-        "if False:",
+        "digits = nq - (len(sizes) == 1)",
+        "digits = nq - 1",
     ),
-    ("multi-limb keys treated as exact", CORE, "self.exact = width == 1", "self.exact = True"),
+    ("one digit too many per word", CORE, "radix ** (per + 1) <= 2**64", "radix ** (per + 1) <= 2**65"),
 ]
 
 #: A mutated run this many times slower than the unmutated one is stopped

@@ -12,7 +12,7 @@ import pytest
 
 import flockpp as fp
 from mutations import MUTATIONS, build_mutant
-from oracle import agent_graph, quotient_nodes
+from oracle import agent_graph, contains_any, quotient_nodes, unanimous_in
 
 # ---------------------------------------------------------------------------
 
@@ -272,7 +272,7 @@ def test_criterion_7_mutation_sensitivity() -> None:
         if i is None:
             failures.append(f"{label}: witness not reachable")
             continue
-        if check == "sound" and not w.contains_any(m.q1):
+        if check == "sound" and not contains_any(w, m.q1):
             failures.append(f"{label}: soundness witness has no accepting agent")
         if check == "complete":
             good = (g.counts_matrix[:, sorted(m.q1)] > 0).any(axis=1)
@@ -283,7 +283,7 @@ def test_criterion_7_mutation_sensitivity() -> None:
         if check == "consensus":
             if not g.bottom[g.scc[i]]:
                 failures.append(f"{label}: consensus witness not in a bottom SCC")
-            if w.unanimous_in(m.q1):
+            if unanimous_in(w, m.q1):
                 failures.append(f"{label}: consensus witness is unanimous")
     _report("criterion 7: mutation sensitivity", failures)
 

@@ -12,7 +12,7 @@ from hypothesis.control import currently_in_test_context
 import flockpp as fp
 from flockpp import core
 from mutations import MUTATIONS, build_mutant
-from oracle import agent_graph, quotient_edges, quotient_nodes, sequential_reach
+from oracle import agent_graph, quotient_edges, quotient_nodes, sequential_reach, support
 
 ALL_FAMILIES_SMALL = [
     (fam, d)
@@ -42,7 +42,7 @@ def test_configuration_from_pairs_normalizes() -> None:
     c = fp.Configuration.from_pairs([(3, 1), (1, 2), (2, 0), (3, 1)])
     assert c.counts == ((1, 2), (3, 2))
     assert c.n == 4
-    assert c.support() == (1, 3)
+    assert support(c) == (1, 3)
     with pytest.raises(ValueError):
         fp.Configuration.from_pairs({0: -1})
 
@@ -546,10 +546,10 @@ WIDE_NODE_CAP = 2_000
 
 @st.composite
 def wide_protocols(draw):
-    """9-20 states, with rules among two to four of them anywhere in the
-    state order, so that counts land in every limb of the packed keys while
-    the graphs stay small."""
-    nq = draw(st.integers(9, 20))
+    """23-26 states, with rules among two to four of them anywhere in the
+    state order, so that counts land in every word of the keys while the
+    graphs stay small."""
+    nq = draw(st.integers(23, 26))
     names = [f"S{i}" for i in range(nq)]
     active = draw(st.lists(st.integers(0, nq - 1), min_size=2, max_size=4, unique=True))
     pick = st.sampled_from(active)
@@ -583,9 +583,10 @@ def _assert_matches_sequential_bfs(p: fp.Protocol, n: int) -> None:
 @settings(max_examples=40)
 @given(wide_protocols(), st.sampled_from([7, 8, 15, 16, 31, 32]))
 def test_wide_protocols_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
-    # Fields are 3 bits wide at n = 7, 4 at n = 8 and 15, 5 at n = 16 and
-    # 31, and 6 at n = 32; keys then need a second limb from 17 states on
-    # (4-bit fields), 13 (5-bit) or 11 (6-bit).
+    # A word holds 21 digits in radix n + 1 at n = 7, 20 at n = 8, 16 at
+    # n = 15, 15 at n = 16 and 12 at n = 31 and 32, so the 22-25 digits of
+    # 23-26 states (the last count is implied) take two or three words.
+    assert core._LevelSearch(p, n, [n]).key.itemsize >= 16
     _assert_matches_sequential_bfs(p, n)
 
 
@@ -594,23 +595,24 @@ def test_nontrivial_protocols_match_sequential_bfs(p: fp.Protocol, n: int) -> No
     _assert_matches_sequential_bfs(p, n)
 
 
-#: One-limb keys, then keys of two limbs in each family that has them (21
-#: states with 16 or 12 fields to a limb, 13 states with 12).  Occurrence
-#: sweeps run up to the cell's n.
-SEARCH_CELLS = [
-    ("b", 7, 10),
-    ("a", 7, 9),
-    ("angluin", 20, 10),
-    ("angluin", 20, 21),
-    ("a", 63, 31),
-    ("b", 66, 28),
-]
+#: Each cell and the words of its key in the search from I_n: one word,
+#: then two in each family that has them.  The 20 digits of angluin(20)
+#: take two words in radix 11 (18 to a word) and in radix 22 (14), and the
+#: 12 of a(63) and b(66) one in radix 32 (12) and in radix 29 (13) but two
+#: in radix 41 (11).  Occurrence sweeps run up to the cell's n.
+SEARCH_CELLS = {
+    ("b", 7, 10): 1,
+    ("a", 7, 9): 1,
+    ("angluin", 20, 10): 2,
+    ("angluin", 20, 21): 2,
+    ("a", 63, 31): 1,
+    ("b", 66, 28): 1,
+    ("b", 66, 40): 2,
+}
 
-#: Search internals that must not change a result: four fingerprints for
-#: every key of two or more limbs, so that nearly every lookup collides, and
-#: blocks of three frontier rows.
+#: Search internals that must not change a result: blocks of three frontier
+#: rows.
 SEARCH_PATCHES = {
-    "collisions": ("_fingerprint", lambda limbs: limbs[:, 0] & np.uint64(3)),
     "blocks": ("_BLOCK_ROWS", 3),
 }
 
@@ -621,6 +623,7 @@ def test_search_internals_leave_results_unchanged(
     monkeypatch, patch: str, fam: str, d: int, n: int
 ) -> None:
     p = fp.build_family(fam, d)
+    assert core._LevelSearch(p, n, [n]).key.itemsize == 8 * SEARCH_CELLS[fam, d, n]
     g = fp.reach(p, n)
     om = fp.occurrence_thresholds(p, n)
     targets = [g.config(i) for i in (len(g) // 2, len(g) - 1)]
@@ -632,3 +635,52 @@ def test_search_internals_leave_results_unchanged(
     assert np.array_equal(h.targets, g.targets)
     assert fp.occurrence_thresholds(p, n) == om
     assert [fp.encounter_trace(p, n, t) for t in targets] == traces
+
+
+def _digit_protocol(nq: int) -> fp.Protocol:
+    """``nq`` states: agents in S0 pile into the last digit's state
+    ``S{nq-2}``, two of which move on to the last state, whose count a
+    search from one root implies."""
+    names = [f"S{i}" for i in range(nq)]
+    top, last = names[-2], names[-1]
+    rules = {("S0", "S0"): [(top, top)], ("S0", top): [(top, top)], (top, top): [(last, last)]}
+    return fp.make_protocol(f"digits{nq}", names, "S0", [], rules)
+
+
+@pytest.mark.parametrize("n,nq,words", [(255, 9, 1), (255, 10, 2), (31, 13, 1), (31, 14, 2)])
+def test_digit_boundary_matches_sequential_bfs(n: int, nq: int, words: int) -> None:
+    # 256**8 == 2**64, so at n = 255 the 8 digits of 9 states fill one word
+    # exactly, and all 255 agents in the last digit set its top byte.
+    # 32**13 == 2**65, so at n = 31 a word holds 12 digits and not 13.
+    p = _digit_protocol(nq)
+    assert core._LevelSearch(p, n, [n]).key.itemsize == 8 * words
+    nodes, rows = sequential_reach(p, n, 20_000)
+    g = fp.reach(p, n)
+    assert g.counts_matrix.tolist() == [list(c) for c in nodes]
+    assert [g.successors_of(i).tolist() for i in range(len(g))] == rows
+    assert g.counts_matrix[:, nq - 2].max() == n
+
+
+def test_multi_root_search_at_the_digit_boundary() -> None:
+    # A search from several sizes keeps all 9 digits, two words in radix
+    # 256, so configurations that differ only in the last count stay apart:
+    # it finds each size's graph, as a search from that size alone does.
+    p = _digit_protocol(9)
+    sizes = np.array([253, 254, 255])
+    search = core._LevelSearch(p, 255, sizes)
+    assert search.key.itemsize == 16
+    size, found = sizes, [np.column_stack([sizes, search.cnt])]
+    while len(size):
+        new_from, _ = search.expand(edges=False)
+        size = size[new_from]
+        found.append(np.column_stack([size, search.cnt]))
+    want = []
+    for s in sizes.tolist():
+        g = fp.reach(p, s)
+        want.append(np.column_stack([np.full(len(g), s), g.counts_matrix]))
+    assert sorted(np.concatenate(found).tolist()) == sorted(np.concatenate(want).tolist())
+    # S1..S6 never occur, so the sweep's last wave searches sizes 129..255.
+    names = [f"S{i}" for i in range(9)]
+    pair = fp.make_protocol("pair", names, "S0", [], {("S0", "S0"): [("S7", "S8")]})
+    om = fp.occurrence_thresholds(pair, 255)
+    assert (om.values, om.n_cap, om.cap_error) == ({0: 1, 7: 2, 8: 2}, 255, None)

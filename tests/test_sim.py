@@ -7,7 +7,7 @@ from hypothesis import given, strategies as st
 
 import flockpp as fp
 from flockpp.sim import RNG_ALGORITHM, SPOT_CHECK_EVERY, SimReport
-from oracle import stepwise_run
+from oracle import stepwise_run, unanimous_in
 from test_core import nontrivial_protocols, small_protocols
 
 #: Endlessly active: every configuration reachable with three agents has a
@@ -107,7 +107,8 @@ def test_unanimity_must_persist_to_count() -> None:
     # is unanimous and the streak is unbroken to the end.
     for seed in range(6):
         r = fp.run(OSC, 3, seed=seed, max_steps=997)
-        unanimous = r.final_configuration.unanimous_in(OSC.q1) or r.final_configuration.unanimous_in(OSC.q0)
+        final = r.final_configuration
+        unanimous = unanimous_in(final, OSC.q1) or unanimous_in(final, OSC.q0)
         assert r.converged == unanimous
         if r.converged:
             assert r.convergence_step is not None

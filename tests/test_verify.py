@@ -9,11 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import flockpp as fp
-from flockpp import verify
+from flockpp import core, verify
 from flockpp.core import reach
 from flockpp.verify import TABLE_COLUMNS
 from mutations import MUTATIONS, build_mutant, rewrite_encounter
-from oracle import first_witnesses, sequential_trace
+from oracle import first_witnesses, sequential_trace, unanimous_in
 from test_core import nontrivial_protocols, record_size, small_protocols, wide_protocols
 
 # -- b(7) end to end ---------------------------------------------------------
@@ -153,7 +153,7 @@ def test_consensus_failure_witness_in_bottom_scc() -> None:
     i = g.index_of(v.witness)
     assert i is not None
     assert g.bottom[g.scc[i]]
-    assert not v.witness.unanimous_in(m.q1)
+    assert not unanimous_in(v.witness, m.q1)
 
 
 @pytest.mark.parametrize("entry", MUTATIONS, ids=lambda e: f"{e[0]}{e[1]}-{e[2][0]}|{e[2][1]}")
@@ -470,19 +470,22 @@ def test_nontrivial_traces_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
 @settings(max_examples=20)
 @given(wide_protocols(), st.sampled_from([15, 16]))
 def test_wide_traces_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
-    # Keys take two limbs from 17 states at n = 15 and from 13 at n = 16.
+    # A word holds 16 digits in radix 16 and 15 in radix 17, so the 22-25
+    # digits of 23-26 states take two words.
+    assert core._LevelSearch(p, n, [n]).key.itemsize == 16
     _assert_traces_match_oracle(p, n)
 
 
 def _seeded_protocol(seed: int, wide: bool) -> tuple[fp.Protocol, int]:
     """A random nondeterministic protocol and a population size: 1-7
-    states at n <= 9, or, when ``wide``, 17-20 states with rules among
-    three of them at n = 8, where keys take two limbs and counts land in
-    both.  The initial state always has a rule with itself."""
+    states at n <= 9, or, when ``wide``, 22-25 states with rules among
+    three of them at n = 8, where a word holds 20 digits in radix 9: the
+    21-24 digits (the last count is implied) take two words, and counts
+    land in both.  The initial state always has a rule with itself."""
     rng = random.Random(seed)
     if wide:
-        nq, n = rng.randint(17, 20), 8
-        active = [0, rng.randint(1, 15), rng.randint(16, nq - 1)]
+        nq, n = rng.randint(22, 25), 8
+        active = [0, rng.randint(1, 19), rng.randint(20, nq - 2)]
     else:
         nq, n = rng.randint(1, 7), rng.randint(1, 9)
         active = list(range(nq))
@@ -503,4 +506,6 @@ def test_seeded_traces_match_sequential_bfs(wide: bool) -> None:
     # The strategies above mostly draw graphs of a few nodes; these seeds
     # give graphs of up to TRACE_NODE_CAP nodes.
     for seed in range(20):
-        _assert_traces_match_oracle(*_seeded_protocol(seed, wide))
+        p, n = _seeded_protocol(seed, wide)
+        assert core._LevelSearch(p, n, [n]).key.itemsize == (16 if wide else 8)
+        _assert_traces_match_oracle(p, n)
