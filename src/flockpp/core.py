@@ -478,19 +478,10 @@ class ReachGraph:
 # equal keys are equal configurations.
 
 
-def _group_keys(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Stable sort order that makes equal keys adjacent, and for each sorted
-    position whether its key differs from the one before (true at 0)."""
-    order = keys.argsort(kind="stable")
-    skey = keys[order]
-    fresh = np.empty(len(keys), dtype=bool)
-    fresh[:1] = True
-    fresh[1:] = skey[1:] != skey[:-1]
-    return order, fresh
-
-
 #: Frontier rows expanded at once.  A row makes one candidate per enabled
-#: cell result, and a candidate holds about 70 bytes of transients.  Fewer
+#: cell result whose step no earlier enabled one makes.  On ``a(28)`` at
+#: n = 30 ``tracemalloc`` reads about 65 bytes of transients per candidate
+#: up to the visited-set merge, and about 90 at the block's peak.  Fewer
 #: rows lower the peak memory of wide levels, but every block merges its new
 #: nodes into the whole visited set.
 _BLOCK_ROWS = 1 << 15
@@ -508,6 +499,11 @@ class _LevelSearch:
     node-by-node BFS that tries each node's cell results of
     ``Protocol._cells`` in order.  Each new node is labelled with the cell
     result that first reached it, a row index of ``Protocol._rules``.
+    Cell results that make the same step reach the same target, so a row
+    drops each one whose step an earlier enabled result makes, before any
+    sort; every remaining candidate of a row has its own target.  The
+    candidates are grouped by sorting their keys, with a sort that need not
+    be stable, and a group's first appearance is its least candidate.
     Visited nodes are kept as sorted keys with node ids.  A key is one
     uint64 when its digits fit one word, and the 8W bytes of its words when
     they need W; either way it is exact, so the search sorts and looks it up
@@ -541,12 +537,31 @@ class _LevelSearch:
         # Negative steps wrap modulo 2**8, which the adds undo.
         self.app_counts = step.astype(np.uint8)
         self.app_words = words(step)
+        # Cell results that make the same step reach the same target.  Each
+        # one after the first of its step is in ``later``, and ``later[i]``
+        # has the earlier ones ``earlier[earlier_at[i]:earlier_at[i + 1]]``.
+        same: dict[bytes, list[int]] = {}
+        later, earlier, earlier_at = [], [], []
+        for rule, row in enumerate(self.app_counts):
+            prior = same.setdefault(row.tobytes(), [])
+            if prior:
+                later.append(rule)
+                earlier_at.append(len(earlier))
+                earlier += prior
+            prior.append(rule)
+        self.later, self.earlier, self.earlier_at = (
+            np.array(col, dtype=np.intp) for col in (later, earlier, earlier_at)
+        )
 
         self.cnt = np.zeros((len(sizes), nq), dtype=np.uint8)
         self.cnt[:, p.q_init] = sizes
         # Byte strings of one length are equal iff their bytes are, and
         # numpy sorts them faster than raw void.
         dtype = np.dtype(np.uint64) if width == 1 else np.dtype(f"S{8 * width}")
+        # numpy's default sort of uint64 is a SIMD quicksort.  Byte strings
+        # have none, and their stable sort, which uses the runs in which
+        # candidates arrive, beats their default one.
+        self.sort_kind = "quicksort" if width == 1 else "stable"
         self.key = words(self.cnt).view(dtype).ravel()
         self.num_nodes = len(sizes)
         order = np.argsort(self.key, kind="stable")
@@ -586,15 +601,28 @@ class _LevelSearch:
         key = self.key[lo : lo + _BLOCK_ROWS]
         cnt = self.cnt[lo : lo + _BLOCK_ROWS]
         enabled = (cnt.take(self.app_a, axis=1) > self.app_min) & (cnt.take(self.app_b, axis=1) > 0)
+        # A row makes each target once, by its first enabled cell result: a
+        # later result stays enabled only where no earlier one of its step
+        # is (``>`` on booleans).  ``take`` costs less than fancy indexing
+        # on the small blocks of narrow levels.
+        if len(self.later):
+            earlier = enabled.take(self.earlier, axis=1)
+            shadowed = np.logical_or.reduceat(earlier, self.earlier_at, axis=1)
+            enabled[:, self.later] = enabled.take(self.later, axis=1) > shadowed
         parent, app = enabled.nonzero()
         words = key.view(np.uint64).reshape(len(key), -1)
         cand = (words[parent] + self.app_words[app]).view(key.dtype).ravel()
 
-        order, fresh = _group_keys(cand)
-        # One group per distinct key, in sorted order; its first member is
-        # its first appearance.
-        first = order[fresh]
-        gkey = cand[first]
+        # One group per distinct key, in sorted order.  The sort need not
+        # be stable: a group's first appearance is its least position.
+        order = cand.argsort(kind=self.sort_kind)
+        skey = cand[order]
+        fresh = np.empty(len(cand), dtype=bool)
+        fresh[:1] = True
+        fresh[1:] = skey[1:] != skey[:-1]
+        starts = fresh.nonzero()[0]
+        first = np.minimum.reduceat(order, starts)
+        gkey = skey[starts]
         gid, at = self._lookup(gkey)
         new = (gid < 0).nonzero()[0]
         by_appearance = first[new].argsort()
@@ -616,14 +644,10 @@ class _LevelSearch:
         if not edges:
             return new_key, new_cnt, *labels
 
-        # Repeats of one key from one row are adjacent within its group.
-        sparent = parent[order]
-        keep = np.ones(len(parent), dtype=bool)
-        keep[order[1:]] = fresh[1:] | (sparent[1:] != sparent[:-1])
-        target = np.empty(len(parent), dtype=np.int32)
+        target = np.empty(len(cand), dtype=np.int32)
         target[order] = gid[np.cumsum(fresh) - 1]
-        degree = np.bincount(parent[keep], minlength=len(cnt)).astype(np.int32)
-        return new_key, new_cnt, *labels, degree, target[keep]
+        degree = np.bincount(parent, minlength=len(cnt)).astype(np.int32)
+        return new_key, new_cnt, *labels, degree, target
 
     def prune(self, keep: np.ndarray) -> None:
         """Drop the frontier rows where ``keep`` is false from further search."""

@@ -95,6 +95,13 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         "digits = nq - 1",
     ),
     ("one digit too many per word", CORE, "radix ** (per + 1) <= 2**64", "radix ** (per + 1) <= 2**65"),
+    ("same-step results kept", CORE, "if len(self.later):", "if False:"),
+    (
+        "first appearance read off an unstable sort",
+        CORE,
+        "first = np.minimum.reduceat(order, starts)",
+        "first = order[starts]",
+    ),
 ]
 
 #: A mutated run this many times slower than the unmutated one is stopped

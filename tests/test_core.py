@@ -10,9 +10,16 @@ from hypothesis import event, given, settings, strategies as st
 from hypothesis.control import currently_in_test_context
 
 import flockpp as fp
-from flockpp import core
+from flockpp import core, verify
 from mutations import MUTATIONS, build_mutant
-from oracle import agent_graph, quotient_edges, quotient_nodes, sequential_reach, support
+from oracle import (
+    agent_graph,
+    quotient_edges,
+    quotient_nodes,
+    sequential_reach,
+    sequential_trace,
+    support,
+)
 
 ALL_FAMILIES_SMALL = [
     (fam, d)
@@ -234,6 +241,86 @@ def test_nondeterministic_protocol_supported() -> None:
         fp.Configuration.from_pairs({0: 1, 1: 1}),
         fp.Configuration.from_pairs({1: 2}),
     }
+
+
+def _catalyst_protocol() -> fp.Protocol:
+    """X turns into Y beside another X or any catalyst C1, C2, C3, and back
+    beside C2 or C3, so several encounters make each of these two moves.
+    The catalysts arrive one at a time, so some configurations hold only a
+    later one."""
+    names = ["S", "X", "Y", "C1", "C2", "C3"]
+    rules = {
+        ("S", "S"): [("C3", "X"), ("C1", "X"), ("X", "X"), ("C2", "S")],
+        ("X", "X"): [("Y", "X")],
+        ("C1", "X"): [("C1", "Y")],
+        ("X", "C2"): [("Y", "C2")],
+        ("C3", "X"): [("C3", "Y")],
+        ("C2", "Y"): [("C2", "X")],
+        ("Y", "C3"): [("X", "C3")],
+        ("Y", "Y"): [("S", "S")],
+    }
+    return fp.make_protocol("catalysts", names, "S", ["Y"], rules, deterministic=False)
+
+
+def _steps(p: fp.Protocol) -> list[tuple[int, ...]]:
+    """The change of state counts that each row of ``Protocol._rules`` makes."""
+    out = []
+    for a, b, c, d in p._rules.tolist():
+        step = [0] * p.num_states
+        for q, sign in ((a, -1), (b, -1), (c, 1), (d, 1)):
+            step[q] += sign
+        out.append(tuple(step))
+    return out
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_same_step_results_match_sequential_bfs(n: int) -> None:
+    # Four cell results move X to Y and two move Y back; a row lists each
+    # target once and the tree labels it with its first enabled result.
+    p = _catalyst_protocol()
+    steps = _steps(p)
+    assert sorted(steps.count(s) for s in set(steps))[-2:] == [2, 4]
+    nodes, rows = sequential_reach(p, n, 20_000)
+    g = fp.reach(p, n)
+    assert g.counts_matrix.tolist() == [list(c) for c in nodes]
+    assert [g.successors_of(i).tolist() for i in range(len(g))] == rows
+    for i in range(len(g)):
+        c = g.config(i)
+        assert fp.successors(p, c) - {c} == {g.config(j) for j in rows[i]}
+        walk = verify._walk(p, g.tree, i, g.counts_matrix[i])
+        assert [(s.pair, s.result, s.after) for s in walk] == sequential_trace(p, n, c)
+    # One X beside C3 alone: only the last of the four X -> Y results fires.
+    _, x, _, c1, c2, c3 = g.counts_matrix.T
+    assert np.any((x == 1) & (c3 > 0) & (c1 == 0) & (c2 == 0))
+
+
+def test_same_step_results_in_a_multi_root_search() -> None:
+    # Each size's nodes appear in the order and with the labels of its own
+    # search, and the sweep reads the occurrences off them.
+    p = _catalyst_protocol()
+    sizes = np.arange(1, 8)
+    search = core._LevelSearch(p, 7, sizes)
+    size = sizes
+    found = [np.column_stack([size, search.cnt, np.zeros_like(size)])]
+    while len(size):
+        new_from, new_app = search.expand(edges=False)
+        size = size[new_from]
+        found.append(np.column_stack([size, search.cnt, new_app]))
+    found = np.concatenate(found)
+    for s in sizes.tolist():
+        g = fp.reach(p, s)
+        want = np.column_stack([np.full(len(g), s), g.counts_matrix, g.tree[1]])
+        assert found[found[:, 0] == s].tolist() == want.tolist()
+    assert fp.occurrence_thresholds(p, 7).values == _first_occurrence(p, 7)
+
+
+def _first_occurrence(p: fp.Protocol, n_max: int) -> dict[int, int]:
+    """The least size up to ``n_max`` whose graph holds each state."""
+    first: dict[int, int] = {}
+    for s in range(1, n_max + 1):
+        for q in fp.reach(p, s).occurring:
+            first.setdefault(q, s)
+    return first
 
 
 @pytest.mark.parametrize("fam,d", [("a", 7), ("b", 11), ("angluin", 5), ("pow2", 8)])
@@ -684,3 +771,34 @@ def test_multi_root_search_at_the_digit_boundary() -> None:
     pair = fp.make_protocol("pair", names, "S0", [], {("S0", "S0"): [("S7", "S8")]})
     om = fp.occurrence_thresholds(pair, 255)
     assert (om.values, om.n_cap, om.cap_error) == ({0: 1, 7: 2, 8: 2}, 255, None)
+
+
+def _terminal_protocol() -> fp.Protocol:
+    """Two S agents become T1, T2 or T3 pairs, where nothing happens, or an
+    A pair, one of which moves on to B."""
+    names = ["S", "T1", "T2", "T3", "A", "B"]
+    rules = {
+        ("S", "S"): [("T1", "T1"), ("T2", "T2"), ("T3", "T3"), ("A", "A")],
+        ("A", "A"): [("A", "B")],
+    }
+    return fp.make_protocol("terminal", names, "S", ["B"], rules, deterministic=False)
+
+
+@pytest.mark.parametrize("n", [1, 2, 3])
+def test_blocks_without_enabled_results(monkeypatch, n: int) -> None:
+    # At n = 1 no cell result is enabled.  At n = 2 and 3, in blocks of
+    # three frontier rows, the first level's first block holds only the
+    # three terminal T pairs (beside one S at n = 3), and at n = 2 the last
+    # level holds only the terminal A + B.
+    p = _terminal_protocol()
+    monkeypatch.setattr(core, *SEARCH_PATCHES["blocks"])
+    nodes, rows = sequential_reach(p, n, 1_000)
+    g = fp.reach(p, n)
+    assert g.counts_matrix.tolist() == [list(c) for c in nodes]
+    assert [g.successors_of(i).tolist() for i in range(len(g))] == rows
+    assert [fp.encounter_trace(p, n, c) for c in g.configurations()] == [
+        [verify.TraceStep(*step) for step in sequential_trace(p, n, c)] for c in g.configurations()
+    ]
+    assert fp.occurrence_thresholds(p, n).values == _first_occurrence(p, n)
+    if n > 1:
+        assert rows[1:4] == [[], [], []]
