@@ -504,15 +504,15 @@ class _LevelSearch:
     sort; every remaining candidate of a row has its own target.  The
     candidates are grouped by sorting their keys, with a sort that need not
     be stable, and a group's first appearance is its least candidate.
-    Visited nodes are kept as sorted keys with node ids.  A key is one
-    uint64 when its digits fit one word, and the 8W bytes of its words when
-    they need W; either way it is exact, so the search sorts and looks it up
-    directly.
+    Visited nodes are kept as sorted keys, with node ids in a search that
+    lists ``edges``.  A key is one uint64 when its digits fit one word, and
+    the 8W bytes of its words when they need W; either way it is exact, so
+    the search sorts and looks it up directly.
     """
 
-    def __init__(self, p: Protocol, n_max: int, sizes: Sequence[int]):
+    def __init__(self, p: Protocol, n_max: int, sizes: Sequence[int], edges: bool):
         nq = p.num_states
-        radix = n_max + 1
+        radix = int(n_max) + 1  # a numpy integer would wrap in the test below
         digits = nq - (len(sizes) == 1)
         per = 1
         while radix ** (per + 1) <= 2**64:
@@ -538,20 +538,22 @@ class _LevelSearch:
         self.app_counts = step.astype(np.uint8)
         self.app_words = words(step)
         # Cell results that make the same step reach the same target.  Each
-        # one after the first of its step is in ``later``, and ``later[i]``
-        # has the earlier ones ``earlier[earlier_at[i]:earlier_at[i + 1]]``.
+        # one after the first of its step is in ``later``, and column i of
+        # ``earlier`` lists the earlier ones of ``later[i]``, padded to the
+        # longest list by repeating its first.
         same: dict[bytes, list[int]] = {}
-        later, earlier, earlier_at = [], [], []
+        later, earlier = [], []
         for rule, row in enumerate(self.app_counts):
             prior = same.setdefault(row.tobytes(), [])
             if prior:
                 later.append(rule)
-                earlier_at.append(len(earlier))
-                earlier += prior
+                earlier.append(prior.copy())
             prior.append(rule)
-        self.later, self.earlier, self.earlier_at = (
-            np.array(col, dtype=np.intp) for col in (later, earlier, earlier_at)
-        )
+        deep = max(map(len, earlier), default=0)
+        self.later = np.array(later, dtype=np.intp)
+        self.earlier = np.array(
+            [e + e[:1] * (deep - len(e)) for e in earlier], dtype=np.intp
+        ).reshape(len(later), deep).T.copy()
 
         self.cnt = np.zeros((len(sizes), nq), dtype=np.uint8)
         self.cnt[:, p.q_init] = sizes
@@ -566,9 +568,11 @@ class _LevelSearch:
         self.num_nodes = len(sizes)
         order = np.argsort(self.key, kind="stable")
         self._keys = self.key[order]
-        self._ids = order.astype(np.int32)
+        # Only the edges' targets read node ids.
+        self.edges = edges
+        self._ids = order.astype(np.int32) if edges else None
 
-    def expand(self, edges: bool) -> tuple[np.ndarray, ...]:
+    def expand(self) -> tuple[np.ndarray, ...]:
         """Replace the frontier by the next level.
 
         The frontier is expanded in blocks of at most :data:`_BLOCK_ROWS`
@@ -580,21 +584,21 @@ class _LevelSearch:
         first reached from, and the row of ``Protocol._rules`` whose cell
         result reached it; a single-root search keeps the two as its BFS
         tree.  Raises ``RuntimeError`` if a new node's counts do not sum to
-        its parent's, which means a cell fired without its agents.  With
-        ``edges`` it returns ``(new_from, new_app, degree, targets)``
+        its parent's, which means a cell fired without its agents.  A search
+        with ``edges`` returns ``(new_from, new_app, degree, targets)``
         instead: also the number of edges of each frontier row and the
         target node ids of all edges, grouped by row in cell-result order.
         No edge is a self-loop: every cell result changes the multiset.
         """
         if len(self.cnt) <= _BLOCK_ROWS:
-            cols = self._expand_block(0, edges)
+            cols = self._expand_block(0)
         else:
-            parts = [self._expand_block(lo, edges) for lo in range(0, len(self.cnt), _BLOCK_ROWS)]
+            parts = [self._expand_block(lo) for lo in range(0, len(self.cnt), _BLOCK_ROWS)]
             cols = [np.concatenate(col) for col in zip(*parts)]
         self.key, self.cnt, *cols = cols
         return tuple(cols)
 
-    def _expand_block(self, lo: int, edges: bool) -> tuple[np.ndarray, ...]:
+    def _expand_block(self, lo: int) -> tuple[np.ndarray, ...]:
         """Expand frontier rows ``lo .. lo + _BLOCK_ROWS`` and register the
         new nodes; returns their keys and counts, then :meth:`expand`'s
         columns for these rows."""
@@ -606,12 +610,15 @@ class _LevelSearch:
         # is (``>`` on booleans).  ``take`` costs less than fancy indexing
         # on the small blocks of narrow levels.
         if len(self.later):
-            earlier = enabled.take(self.earlier, axis=1)
-            shadowed = np.logical_or.reduceat(earlier, self.earlier_at, axis=1)
+            shadowed = enabled.take(self.earlier[0], axis=1)
+            for col in self.earlier[1:]:
+                shadowed |= enabled.take(col, axis=1)
             enabled[:, self.later] = enabled.take(self.later, axis=1) > shadowed
         parent, app = enabled.nonzero()
+        # ``take`` along axis 0 gathers rows faster than fancy indexing.
         words = key.view(np.uint64).reshape(len(key), -1)
-        cand = (words[parent] + self.app_words[app]).view(key.dtype).ravel()
+        cand = words.take(parent, axis=0) + self.app_words.take(app, axis=0)
+        cand = cand.view(key.dtype).ravel()
 
         # One group per distinct key, in sorted order.  The sort need not
         # be stable: a group's first appearance is its least position.
@@ -623,17 +630,21 @@ class _LevelSearch:
         starts = fresh.nonzero()[0]
         first = np.minimum.reduceat(order, starts)
         gkey = skey[starts]
-        gid, at = self._lookup(gkey)
-        new = (gid < 0).nonzero()[0]
+        found, at = self._lookup(gkey)
+        new = (~found).nonzero()[0]
         by_appearance = first[new].argsort()
-        gid[new[by_appearance]] = np.arange(self.num_nodes, self.num_nodes + len(new))
-        self._merge(at[new], gkey[new], gid[new])
+        ids = np.empty(len(new), dtype=np.int32)
+        ids[by_appearance] = np.arange(self.num_nodes, self.num_nodes + len(new))
+        if self.edges:
+            gid = self._ids.take(at, mode="clip")
+            gid[new] = ids
+        self._merge(at[new], gkey[new], ids)
         self.num_nodes += len(new)
         new_from = first[new[by_appearance]]
         new_key = cand[new_from]
         src, rule = parent[new_from], app[new_from]
-        old_cnt = cnt[src]
-        new_cnt = old_cnt + self.app_counts[rule]
+        old_cnt = cnt.take(src, axis=0)
+        new_cnt = old_cnt + self.app_counts.take(rule, axis=0)
         # A count wrapped below zero reads 254 or 255; only then can the new
         # nodes' counts fail to sum to their parents'.
         if new_cnt.max(initial=0) >= 254 and (
@@ -641,11 +652,11 @@ class _LevelSearch:
         ):
             raise RuntimeError("a uint8 state count wrapped: a cell fired without its agents")
         labels = (lo + src, rule)
-        if not edges:
+        if not self.edges:
             return new_key, new_cnt, *labels
 
         target = np.empty(len(cand), dtype=np.int32)
-        target[order] = gid[np.cumsum(fresh) - 1]
+        target[order] = gid[fresh.cumsum() - 1]
         degree = np.bincount(parent, minlength=len(cnt)).astype(np.int32)
         return new_key, new_cnt, *labels, degree, target
 
@@ -655,25 +666,28 @@ class _LevelSearch:
         self.cnt = self.cnt[keep]
 
     def _lookup(self, gkey: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Node id of each key (-1 if unvisited), and its insertion point in
-        the sorted visited keys."""
+        """Whether each key is visited, and its position in the sorted
+        visited keys: its own where it is, its insertion point where not."""
         at = self._keys.searchsorted(gkey)
-        match = self._keys.take(at, mode="clip") == gkey
-        return np.where(match, self._ids.take(at, mode="clip"), -1), at
+        return self._keys.take(at, mode="clip") == gkey, at
 
     def _merge(self, at: np.ndarray, keys: np.ndarray, ids: np.ndarray) -> None:
-        """Insert sorted ``keys`` with their node ids before positions ``at``."""
+        """Insert sorted ``keys`` before positions ``at``, with their node
+        ids ``ids`` if the search keeps ids."""
         dest = at + np.arange(len(at))
-        old = np.ones(len(self._keys) + len(at), dtype=bool)
+        old = np.empty(len(self._keys) + len(at), dtype=bool)
+        old.fill(True)
         old[dest] = False
-        merged = np.empty(len(old), dtype=self._keys.dtype)
-        merged[dest] = keys
-        merged[old] = self._keys
-        self._keys = merged
-        merged = np.empty(len(old), dtype=np.int32)
-        merged[dest] = ids
-        merged[old] = self._ids
-        self._ids = merged
+
+        def insert(into: np.ndarray, values: np.ndarray) -> np.ndarray:
+            merged = np.empty(len(old), dtype=into.dtype)
+            merged[dest] = values
+            merged[old] = into
+            return merged
+
+        self._keys = insert(self._keys, keys)
+        if self.edges:
+            self._ids = insert(self._ids, ids)
 
 
 def _cap_message(p: Protocol, n: int, node_cap: int) -> str:
@@ -688,12 +702,12 @@ def _levels(p: Protocol, n: int, node_cap: int, edges: bool) -> Iterator[tuple]:
     _check_population(n)
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
-    search = _LevelSearch(p, n, [n])
+    search = _LevelSearch(p, n, [n], edges)
     tree = [(np.zeros(1, dtype=np.int32),) * 2]
     yield search, tree, []
     while len(search.cnt):
         base = search.num_nodes - len(search.cnt)
-        new_from, new_app, *cols = search.expand(edges)
+        new_from, new_app, *cols = search.expand()
         tree.append(((base + new_from).astype(np.int32), new_app.astype(np.int32)))
         if search.num_nodes > node_cap:
             raise CapExceeded(

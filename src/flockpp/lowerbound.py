@@ -104,44 +104,49 @@ def occurrence_upper_bounds(p: Protocol) -> dict[int, int]:
 def _occurrence_by_size(
     p: Protocol, n_max: int, node_cap: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Which states occur at each population size 1..n_max.
+    """The least size in 1..n_max at which each state occurs.
 
-    Returns ``occurs`` (bool, one row per size, row 0 unused) and ``capped``
-    (bool per size: more than ``node_cap`` nodes reachable).  No edges are
-    stored.  The sizes are searched in waves 1, 2, 3-4, 5-8, ..., one
-    breadth-first search per wave from the roots ``I_s`` of its sizes, and
-    a sweep over increasing sizes stops early, so the searches cover at
-    most twice the sizes it reads.  A size stops being searched once it is
-    capped or lies above a capped size, and so does every size above the
-    first size by which every state has occurred: the sweep never reads
-    them.  Rows of sizes no longer searched are incomplete.
+    Returns ``least`` (uint16 per state, ``n_max + 1`` where none was seen)
+    and ``capped`` (bool per size: more than ``node_cap`` nodes reachable).
+    No edges are stored.  The sizes are searched in waves 1, 2, 3-4, 5-8,
+    ..., one breadth-first search per wave from the roots ``I_s`` of its
+    sizes, and a sweep over increasing sizes stops early, so the searches
+    cover at most twice the sizes it reads.  A size stops being searched
+    once it is capped or lies above a capped size, and so does every size
+    above the first size by which every state has occurred: the sweep never
+    reads them.  Entries of ``least`` below the first capped size are
+    exact.  Each level adds one transient of 2 bytes per (frontier row,
+    state): the row's uint16 size where the state occurs.
     """
-    occurs = np.zeros((n_max + 1, p.num_states), dtype=bool)
+    least = np.full(p.num_states, n_max + 1, dtype=np.uint16)
+    least[p.q_init] = 1
     nodes = np.zeros(n_max + 1, dtype=np.int64)
     capped = np.zeros(n_max + 1, dtype=bool)
     hi = 0
     stop = n_max + 1  # the sweep reads no size from here on
     while hi < n_max and stop > hi + 1:
-        lo, hi = hi + 1, min(2 * hi, n_max) if hi else 1
-        size = np.arange(lo, hi + 1)
-        search = _LevelSearch(p, hi, size)
-        occurs[size, p.q_init] = True
+        # A wave holds no size from the stop on.
+        lo, hi = hi + 1, min(2 * hi, n_max, stop - 1) if hi else 1
+        size = np.arange(lo, hi + 1, dtype=np.uint16)
+        search = _LevelSearch(p, hi, size, edges=False)
         nodes[size] = 1
         while len(size):
-            new_from, _ = search.expand(edges=False)
-            size = size[new_from]
+            new_from, _ = search.expand()
+            size = size.take(new_from)
             nodes += np.bincount(size, minlength=n_max + 1)
-            np.logical_or.at(occurs, size, search.cnt > 0)
             capped |= nodes > node_cap
-            covered = np.logical_or.accumulate(occurs, axis=0).all(axis=1)
-            stop = min(
-                int(np.argmax(capped)) if capped.any() else n_max + 1,
-                int(np.argmax(covered)) + 1 if covered.any() else n_max + 1,
-            )
-            keep = size < stop
-            search.prune(keep)
-            size = size[keep]
-    return occurs, capped
+            seen = np.where(search.cnt, size[:, None], n_max + 1).min(axis=0, initial=n_max + 1)
+            np.minimum(least, seen, out=least)
+            first_capped = int(capped.argmax()) if capped.any() else n_max + 1
+            # New rows descend from rows below the stop, so rows need
+            # pruning only when the stop moves down.
+            new_stop = min(first_capped, int(least.max()) + 1)
+            if new_stop < stop:
+                stop = new_stop
+                keep = size < stop
+                search.prune(keep)
+                size = size[keep]
+    return least, capped
 
 
 def occurrence_thresholds(
@@ -165,7 +170,10 @@ def occurrence_thresholds(
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
     n_max = min(n_cap, MAX_POPULATION)
-    occurs, capped = _occurrence_by_size(p, n_max, node_cap)
+    least, capped = _occurrence_by_size(p, n_max, node_cap)
+    # One row per size, marking the states first seen there.
+    occurs = np.zeros((n_max + 2, p.num_states), dtype=bool)
+    occurs[least, np.arange(p.num_states)] = True
     values: dict[int, int] = {}
     done = 0
     cap_error: str | None = None

@@ -7,7 +7,7 @@ package's multiset engine must agree with the permutation quotient of this
 semantics exactly.  :func:`sequential_reach` is the node-by-node multiset
 BFS that fixes the engine's node numbering and edge-row order,
 :func:`sequential_trace` the same BFS with parent pointers that fixes the
-encounter traces, :func:`first_witnesses` reads the check verdicts and
+encounter traces, :func:`occurrence_by_sizes` the occurrence sweep over it, :func:`first_witnesses` reads the check verdicts and
 their first-bad-node witnesses off that BFS, and :func:`stepwise_run` is
 the plain simulator loop that fixes the seeded trajectory of
 :func:`flockpp.sim.run`.  :func:`support`, :func:`contains_any` and
@@ -84,6 +84,31 @@ def occurrence_by_sweep(p: Protocol, n_max: int) -> dict[int, int]:
             for q in cfg:
                 first.setdefault(q, n)
     return first
+
+
+def occurrence_by_sizes(
+    p: Protocol, n_cap: int, node_cap: int, n_limit: int
+) -> tuple[dict[int, int], int, int | None]:
+    """The occurrence sweep read size by size off :func:`sequential_reach`.
+
+    Returns the first size at which each state occurs, the last size read
+    and the first size with more than ``node_cap`` reachable nodes (None if
+    the sweep met none).  The sweep stops once every state has occurred,
+    and then counts as read up to ``n_cap``; at the first capped size; or
+    after ``min(n_cap, n_limit)``.
+    """
+    first: dict[int, int] = {}
+    for n in range(1, min(n_cap, n_limit) + 1):
+        found = sequential_reach(p, n, node_cap)
+        if found is None:
+            return first, n - 1, n
+        for node in found[0]:
+            for q, k in enumerate(node):
+                if k:
+                    first.setdefault(q, n)
+        if len(first) == p.num_states:
+            return first, n_cap, None
+    return first, min(n_cap, n_limit), None
 
 
 def sequential_reach(

@@ -32,6 +32,7 @@ ROOT = Path(__file__).resolve().parent.parent
 CORE = "src/flockpp/core.py"
 VERIFY = "src/flockpp/verify.py"
 SIM = "src/flockpp/sim.py"
+LOWERBOUND = "src/flockpp/lowerbound.py"
 
 #: (name, file, old, new)
 MUTANTS: list[tuple[str, str, str, str]] = [
@@ -101,6 +102,14 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         CORE,
         "first = np.minimum.reduceat(order, starts)",
         "first = order[starts]",
+    ),
+    ("sweep node cap off by one", LOWERBOUND, "capped |= nodes > node_cap", "capped |= nodes >= node_cap"),
+    ("sweep prunes the last size it reads", LOWERBOUND, "keep = size < stop", "keep = size < stop - 1"),
+    (
+        "sweep skips the last size after a wave that ends just below it",
+        LOWERBOUND,
+        "while hi < n_max and stop > hi + 1:",
+        "while hi < n_max - 1 and stop > hi + 1:",
     ),
 ]
 

@@ -146,9 +146,9 @@ def test_trace_explores_each_n_once(tmp_path, monkeypatch, capsys) -> None:
     sizes = []
     init = core._LevelSearch.__init__
 
-    def counted(self, p, n_max, roots):
+    def counted(self, p, n_max, roots, edges):
         sizes.append(n_max)
-        init(self, p, n_max, roots)
+        init(self, p, n_max, roots, edges)
 
     monkeypatch.setattr(core._LevelSearch, "__init__", counted)
     path = tmp_path / "mutant.json"

@@ -130,8 +130,8 @@ def test_reach_stops_at_the_level_that_passes_the_cap(monkeypatch) -> None:
     sizes = []
     expand = core._LevelSearch.expand
 
-    def counted(self, edges):
-        out = expand(self, edges)
+    def counted(self):
+        out = expand(self)
         sizes.append(self.num_nodes)
         return out
 
@@ -145,11 +145,11 @@ def test_wrapped_count_fails_fast() -> None:
     # With diagonal cells enabled by one agent, a count of 1 loses two and
     # wraps to 255, and the search would run on through configurations that
     # do not exist.
-    search = core._LevelSearch(fp.build_protocol_b(7), 3, [3])
+    search = core._LevelSearch(fp.build_protocol_b(7), 3, [3], edges=True)
     search.app_min[:] = 0
     with pytest.raises(RuntimeError, match="wrapped"):
         while len(search.cnt):
-            search.expand(edges=True)
+            search.expand()
 
 
 def _multiset(c: fp.Configuration) -> tuple[int, ...]:
@@ -299,11 +299,11 @@ def test_same_step_results_in_a_multi_root_search() -> None:
     # search, and the sweep reads the occurrences off them.
     p = _catalyst_protocol()
     sizes = np.arange(1, 8)
-    search = core._LevelSearch(p, 7, sizes)
+    search = core._LevelSearch(p, 7, sizes, edges=False)
     size = sizes
     found = [np.column_stack([size, search.cnt, np.zeros_like(size)])]
     while len(size):
-        new_from, new_app = search.expand(edges=False)
+        new_from, new_app = search.expand()
         size = size[new_from]
         found.append(np.column_stack([size, search.cnt, new_app]))
     found = np.concatenate(found)
@@ -673,7 +673,7 @@ def test_wide_protocols_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
     # A word holds 21 digits in radix n + 1 at n = 7, 20 at n = 8, 16 at
     # n = 15, 15 at n = 16 and 12 at n = 31 and 32, so the 22-25 digits of
     # 23-26 states (the last count is implied) take two or three words.
-    assert core._LevelSearch(p, n, [n]).key.itemsize >= 16
+    assert core._LevelSearch(p, n, [n], edges=True).key.itemsize >= 16
     _assert_matches_sequential_bfs(p, n)
 
 
@@ -710,7 +710,7 @@ def test_search_internals_leave_results_unchanged(
     monkeypatch, patch: str, fam: str, d: int, n: int
 ) -> None:
     p = fp.build_family(fam, d)
-    assert core._LevelSearch(p, n, [n]).key.itemsize == 8 * SEARCH_CELLS[fam, d, n]
+    assert core._LevelSearch(p, n, [n], edges=True).key.itemsize == 8 * SEARCH_CELLS[fam, d, n]
     g = fp.reach(p, n)
     om = fp.occurrence_thresholds(p, n)
     targets = [g.config(i) for i in (len(g) // 2, len(g) - 1)]
@@ -740,12 +740,27 @@ def test_digit_boundary_matches_sequential_bfs(n: int, nq: int, words: int) -> N
     # exactly, and all 255 agents in the last digit set its top byte.
     # 32**13 == 2**65, so at n = 31 a word holds 12 digits and not 13.
     p = _digit_protocol(nq)
-    assert core._LevelSearch(p, n, [n]).key.itemsize == 8 * words
+    assert core._LevelSearch(p, n, [n], edges=True).key.itemsize == 8 * words
     nodes, rows = sequential_reach(p, n, 20_000)
     g = fp.reach(p, n)
     assert g.counts_matrix.tolist() == [list(c) for c in nodes]
     assert [g.successors_of(i).tolist() for i in range(len(g))] == rows
     assert g.counts_matrix[:, nq - 2].max() == n
+
+
+@pytest.mark.parametrize("n", [7, 31, 255])
+def test_search_from_a_numpy_integer_size(n: int) -> None:
+    # Sizes often come from numpy arrays; int64 arithmetic on the radix
+    # would wrap before it passed 2**64.
+    p = _digit_protocol(10)
+    want = core._LevelSearch(p, n, [n], edges=True)
+    got = core._LevelSearch(p, np.int64(n), [n], edges=True)
+    assert got.key.dtype == want.key.dtype
+    assert got.key.tolist() == want.key.tolist()
+    while len(want.cnt):
+        assert [c.tolist() for c in got.expand()] == [c.tolist() for c in want.expand()]
+        assert got.key.tolist() == want.key.tolist()
+    assert not len(got.cnt)
 
 
 def test_multi_root_search_at_the_digit_boundary() -> None:
@@ -754,11 +769,11 @@ def test_multi_root_search_at_the_digit_boundary() -> None:
     # it finds each size's graph, as a search from that size alone does.
     p = _digit_protocol(9)
     sizes = np.array([253, 254, 255])
-    search = core._LevelSearch(p, 255, sizes)
+    search = core._LevelSearch(p, 255, sizes, edges=False)
     assert search.key.itemsize == 16
     size, found = sizes, [np.column_stack([sizes, search.cnt])]
     while len(size):
-        new_from, _ = search.expand(edges=False)
+        new_from, _ = search.expand()
         size = size[new_from]
         found.append(np.column_stack([size, search.cnt]))
     want = []

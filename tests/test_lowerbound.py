@@ -3,9 +3,11 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, strategies as st
 
 import flockpp as fp
-from oracle import occurrence_by_sweep
+from oracle import occurrence_by_sizes, occurrence_by_sweep
+from test_core import nontrivial_protocols, small_protocols, wide_protocols
 
 A7_FMAP = {
     "NB(1)": 1,
@@ -74,6 +76,26 @@ def test_initial_state_at_one_and_accepting_at_d(fam: str, d: int) -> None:
         assert om.unknown == frozenset()
     assert fp.check_doubling_gaps(om).holds
     assert fp.check_state_lower_bound(p, d).holds
+
+
+@given(
+    st.one_of(small_protocols(), nontrivial_protocols(), wide_protocols()),
+    st.integers(1, 50),
+    st.one_of(st.integers(1, 20), st.integers(250, 300)),
+)
+def test_occurrence_thresholds_match_a_naive_sweep(p: fp.Protocol, node_cap: int, n_cap: int) -> None:
+    # Node caps of 1-50 stop the sweep at some size on most protocols, and
+    # n_cap above the population limit makes it stop there on the rest.
+    om = fp.occurrence_thresholds(p, n_cap, node_cap)
+    values, done, capped = occurrence_by_sizes(p, n_cap, node_cap, fp.MAX_POPULATION)
+    assert (om.values, om.n_cap) == (values, done)
+    assert om.unknown == frozenset(range(p.num_states)) - values.keys()
+    if capped is not None:
+        assert om.cap_error == f"reachability closure of {p.name!r} at n={capped} exceeds node cap {node_cap}"
+    elif done < n_cap:
+        assert om.cap_error == f"population limit n={fp.MAX_POPULATION} reached with states unknown"
+    else:
+        assert om.cap_error is None
 
 
 def test_occurrence_values_dominated_by_fixpoint_bound() -> None:

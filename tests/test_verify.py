@@ -472,7 +472,7 @@ def test_nontrivial_traces_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
 def test_wide_traces_match_sequential_bfs(p: fp.Protocol, n: int) -> None:
     # A word holds 16 digits in radix 16 and 15 in radix 17, so the 22-25
     # digits of 23-26 states take two words.
-    assert core._LevelSearch(p, n, [n]).key.itemsize == 16
+    assert core._LevelSearch(p, n, [n], edges=True).key.itemsize == 16
     _assert_traces_match_oracle(p, n)
 
 
@@ -507,5 +507,5 @@ def test_seeded_traces_match_sequential_bfs(wide: bool) -> None:
     # give graphs of up to TRACE_NODE_CAP nodes.
     for seed in range(20):
         p, n = _seeded_protocol(seed, wide)
-        assert core._LevelSearch(p, n, [n]).key.itemsize == (16 if wide else 8)
+        assert core._LevelSearch(p, n, [n], edges=True).key.itemsize == (16 if wide else 8)
         _assert_traces_match_oracle(p, n)
