@@ -170,42 +170,25 @@ class Protocol:
                 )
 
     @cached_property
-    def _cells(self) -> tuple[tuple[int, int, bool, tuple[Pair, ...]], ...]:
-        """Unordered-encounter worklist of the successor computations.
-
-        One entry per unordered state pair {a, b} (a <= b) whose encounter can
-        do something: ``(a, b, has_identity, ((c, d), ...))``, where applying
-        ``(c, d)`` moves one agent a->c and one b->d.  An off-diagonal
-        encounter happens in either order, so both ``delta_of(a, b)`` and
-        ``delta_of(b, a)`` are read: the (a, b) results first, then the
-        (b, a) results swapped, since moving one agent b->c and one a->d is
-        the same multiset step as applying (d, c) to (a, b).  A result that
-        leaves the multiset unchanged, or an unlisted order, which reads as
-        the identity, is not listed but sets ``has_identity``.
-        """
-        out = []
-        for a, b in sorted({(min(ab), max(ab)) for ab in self._delta_map}):
-            merged = self.delta_of(a, b)
-            if a != b:
-                merged += tuple((d, c) for c, d in self.delta_of(b, a))
-            has_id = False
-            results: list[Pair] = []
-            for r in merged:
-                if r == (a, b) or r == (b, a):
-                    # Includes swap results (a,b)->(b,a): a multiset identity.
-                    has_id = True
-                elif r not in results:
-                    results.append(r)
-            # A pair whose merged results collapse to pure identity behaves
-            # like an unlisted cell and is dropped from the worklist.
-            if results:
-                out.append((a, b, has_id, tuple(results)))
-        return tuple(out)
-
-    @cached_property
     def _rules(self) -> np.ndarray:
-        """One row ``(a, b, c, d)`` per cell result of :attr:`_cells`, in order."""
-        rows = [(a, b, c, d) for a, b, _, res in self._cells for c, d in res]
+        """The ordered rules that change a multiset, one row ``(a, b, c, d)``
+        with ``(c, d)`` in ``delta_of(a, b)`` each: one agent moves a->c and
+        one b->d.
+
+        Rows run over the unordered state pairs {a, b} (a <= b) in order, the
+        results of (a, b) first, then those of (b, a).  A result that leaves
+        the multiset unchanged, an identity or a swap, is left out, and so is
+        one whose step an earlier row of its pair makes.
+        """
+        rows = []
+        for a, b in sorted({(min(ab), max(ab)) for ab in self._delta_map}):
+            steps = {(a, b), (b, a)}  # as results of (a, b)
+            for x, y in ((a, b), (b, a)):  # (a, a) twice: the second adds nothing
+                for c, d in self.delta_of(x, y):
+                    move = (c, d) if x == a else (d, c)
+                    if move not in steps:
+                        steps.add(move)
+                        rows.append((x, y, c, d))
         return np.array(rows, dtype=np.intp).reshape(-1, 4)
 
 
@@ -227,12 +210,6 @@ class Configuration:
                 agg[q] = agg.get(q, 0) + c
         counts = tuple(sorted(agg.items()))
         return Configuration(counts=counts, n=sum(c for _, c in counts))
-
-    def count(self, q: int) -> int:
-        for state, c in self.counts:
-            if state == q:
-                return c
-        return 0
 
     def pretty(self, p: Protocol) -> str:
         return " + ".join(f"{c}*{p.display(q)}" for q, c in self.counts)
@@ -310,10 +287,11 @@ def successors(p: Protocol, c: Configuration) -> set[Configuration]:
     ``q_b -> q_d``.  For ``n = 1`` there are no encounters and the result is
     empty, as it is for the empty configuration.
 
-    This is the scalar reference for :func:`reach`: every graph row is its
-    result minus ``c``.  ``c`` is its own successor iff some enabled
-    encounter can stay put, i.e. iff it has more enabled unordered pairs
-    than enabled pairs without an identity result.
+    This is the scalar reference for :func:`reach`, read straight off
+    ``delta``: every graph row is its result minus ``c``.  An identity or
+    swap result gives ``c`` itself, and so does an enabled ordered pair
+    that ``delta`` does not list: that is when ``c`` has more enabled
+    ordered pairs than enabled listed ones.
     """
     if c.n:
         _check_population(c.n)
@@ -321,13 +299,12 @@ def successors(p: Protocol, c: Configuration) -> set[Configuration]:
     for q, k in c.counts:
         counts[q] = k
     result: set[Configuration] = set()
-    enabled_no_id = 0
-    for a, b, has_id, results in p._cells:
+    enabled = 0
+    for a, b, cell in p.delta:
         if counts[a] < 1 + (a == b) or not counts[b]:
             continue
-        if not has_id:
-            enabled_no_id += 1
-        for x, y in results:
+        enabled += 1
+        for x, y in cell:
             nxt = counts.copy()
             nxt[a] -= 1
             nxt[b] -= 1
@@ -336,7 +313,7 @@ def successors(p: Protocol, c: Configuration) -> set[Configuration]:
             result.add(Configuration(tuple((q, k) for q, k in enumerate(nxt) if k), c.n))
     support = sum(k > 0 for k in counts)
     doubled = sum(k > 1 for k in counts)
-    if support * (support - 1) // 2 + doubled > enabled_no_id:
+    if support * (support - 1) + doubled > enabled:
         result.add(c)
     return result
 
@@ -353,15 +330,14 @@ class ReachGraph:
     ``I_n`` (index 0); ``counts_matrix`` holds one uint8 row of state counts
     per node.  Edges are stored in CSR form (``indptr``/``targets``, int32
     targets): row ``i`` is ``successors(p, c_i) - {c_i}`` in the order of
-    their first enabled cell result in ``Protocol._cells``.  ``tree`` is
-    the BFS tree in two int32 rows: each node's first parent and the row of
-    ``Protocol._rules`` whose cell result first reached it (0 and 0 at the
-    root).  The states that occur in some node (``occurring``), the strongly
-    connected component of each node (``scc``) and which components no
-    edge leaves (``bottom``) are computed on first access.  The components
-    carry the fairness analysis, because a fair run settles into exactly one
-    bottom component and visits all of it; steps that change nothing bear
-    on neither.
+    their first enabled rule in ``Protocol._rules``.  ``tree`` is the BFS
+    tree in two int32 rows: each node's first parent and the row of
+    ``Protocol._rules`` that first reached it (0 and 0 at the root).  The
+    strongly connected component of each node (``scc``) and which
+    components no edge leaves (``bottom``) are computed on first access.
+    The components carry the fairness analysis, because a fair run settles
+    into exactly one bottom component and visits all of it; steps that
+    change nothing bear on neither.
     """
 
     def __init__(
@@ -393,29 +369,6 @@ class ReachGraph:
 
     def config(self, i: int) -> Configuration:
         return Configuration.from_pairs(enumerate(self.counts_matrix[i].tolist()))
-
-    def configurations(self) -> Iterator[Configuration]:
-        for row in self.counts_matrix.tolist():
-            yield Configuration.from_pairs(enumerate(row))
-
-    def index_of(self, c: Configuration) -> int | None:
-        """Row of configuration ``c``, or None if it is not a node."""
-        nq = self.protocol.num_states
-        if c.n != self.n or any(q >= nq for q, _ in c.counts):
-            return None
-        row = np.zeros(nq, dtype=np.uint8)
-        for q, k in c.counts:
-            row[q] = k
-        hit = np.flatnonzero((self.counts_matrix == row).all(axis=1))
-        return int(hit[0]) if hit.size else None
-
-    def successors_of(self, i: int) -> np.ndarray:
-        return self.targets[self.indptr[i] : self.indptr[i + 1]]
-
-    @cached_property
-    def occurring(self) -> frozenset[int]:
-        """States that appear with positive count in some node."""
-        return frozenset(np.flatnonzero(self.counts_matrix.any(axis=0)).tolist())
 
     @cached_property
     def _csr(self) -> sparse.csr_matrix:
@@ -471,7 +424,7 @@ class ReachGraph:
 # A configuration's key holds its state counts as digits in radix n_max + 1,
 # as many to a uint64 word as ``(n_max + 1)**per <= 2**64`` allows.  In a
 # search from one root every configuration holds the root's agents, so the
-# last count is implied and is not a digit.  A cell result adds one delta per
+# last count is implied and is not a digit.  A rule adds one delta per
 # word.  Every digit stays in [0, n_max] before and after, so the wrapping
 # uint64 add is exact and no carry or borrow crosses a digit or a word.  The
 # words of a key are compared as one value, a uint64 or a byte string, so
@@ -479,7 +432,7 @@ class ReachGraph:
 
 
 #: Frontier rows expanded at once.  A row makes one candidate per enabled
-#: cell result whose step no earlier enabled one makes.  On ``a(28)`` at
+#: rule whose step no earlier enabled one makes.  On ``a(28)`` at
 #: n = 30 ``tracemalloc`` reads about 65 bytes of transients per candidate
 #: up to the visited-set merge, and about 90 at the block's peak.  Fewer
 #: rows lower the peak memory of wide levels, but every block merges its new
@@ -495,13 +448,13 @@ class _LevelSearch:
     configurations one encounter away that no earlier level or earlier
     candidate of this level holds, numbered in the order they first appear
     among the candidates.  Candidates are ordered by frontier row, then
-    cell, then result, so the numbering is the discovery order of a
-    node-by-node BFS that tries each node's cell results of
-    ``Protocol._cells`` in order.  Each new node is labelled with the cell
-    result that first reached it, a row index of ``Protocol._rules``.
-    Cell results that make the same step reach the same target, so a row
-    drops each one whose step an earlier enabled result makes, before any
-    sort; every remaining candidate of a row has its own target.  The
+    rule, so the numbering is the discovery order of a node-by-node BFS
+    that tries each node's rules of ``Protocol._rules`` in order.  Each new
+    node is labelled with the rule that first reached it, a row index of
+    ``Protocol._rules``.  A rule is enabled, and makes its step, in the
+    order it names as in the other one.  Rules that make the same step
+    reach the same target, so a row drops each one whose step an earlier
+    enabled rule makes, before any sort; every remaining candidate of a row has its own target.  The
     candidates are grouped by sorting their keys, with a sort that need not
     be stable, and a group's first appearance is its least candidate.
     Visited nodes are kept as sorted keys, with node ids in a search that
@@ -528,7 +481,7 @@ class _LevelSearch:
 
         rules = p._rules
         self.app_a, self.app_b = rules[:, :2].T.copy()
-        # A diagonal cell needs two agents of its state, any other one of each.
+        # A diagonal rule needs two agents of its state, any other one of each.
         self.app_min = (self.app_a == self.app_b).astype(np.uint8)
         rows = np.arange(len(rules))
         step = np.zeros((len(rows), nq), dtype=np.int64)
@@ -537,7 +490,7 @@ class _LevelSearch:
         # Negative steps wrap modulo 2**8, which the adds undo.
         self.app_counts = step.astype(np.uint8)
         self.app_words = words(step)
-        # Cell results that make the same step reach the same target.  Each
+        # Rules that make the same step reach the same target.  Each
         # one after the first of its step is in ``later``, and column i of
         # ``earlier`` lists the earlier ones of ``later[i]``, padded to the
         # longest list by repeating its first.
@@ -581,14 +534,14 @@ class _LevelSearch:
         so the numbering does not depend on the block size.
 
         Returns ``(new_from, new_app)``: the frontier row each new node was
-        first reached from, and the row of ``Protocol._rules`` whose cell
-        result reached it; a single-root search keeps the two as its BFS
-        tree.  Raises ``RuntimeError`` if a new node's counts do not sum to
-        its parent's, which means a cell fired without its agents.  A search
-        with ``edges`` returns ``(new_from, new_app, degree, targets)``
-        instead: also the number of edges of each frontier row and the
-        target node ids of all edges, grouped by row in cell-result order.
-        No edge is a self-loop: every cell result changes the multiset.
+        first reached from, and the row of ``Protocol._rules`` that reached
+        it; a single-root search keeps the two as its BFS tree.  Raises
+        ``RuntimeError`` if a new node's counts do not sum to its parent's,
+        which means a rule fired without its agents.  A search with
+        ``edges`` returns ``(new_from, new_app, degree, targets)`` instead:
+        also the number of edges of each frontier row and the target node
+        ids of all edges, grouped by row in rule order.  No edge is a
+        self-loop: every rule changes the multiset.
         """
         if len(self.cnt) <= _BLOCK_ROWS:
             cols = self._expand_block(0)
@@ -605,8 +558,8 @@ class _LevelSearch:
         key = self.key[lo : lo + _BLOCK_ROWS]
         cnt = self.cnt[lo : lo + _BLOCK_ROWS]
         enabled = (cnt.take(self.app_a, axis=1) > self.app_min) & (cnt.take(self.app_b, axis=1) > 0)
-        # A row makes each target once, by its first enabled cell result: a
-        # later result stays enabled only where no earlier one of its step
+        # A row makes each target once, by its first enabled rule: a
+        # later rule stays enabled only where no earlier one of its step
         # is (``>`` on booleans).  ``take`` costs less than fancy indexing
         # on the small blocks of narrow levels.
         if len(self.later):
@@ -650,7 +603,7 @@ class _LevelSearch:
         if new_cnt.max(initial=0) >= 254 and (
             new_cnt.sum(dtype=np.int64) != old_cnt.sum(dtype=np.int64)
         ):
-            raise RuntimeError("a uint8 state count wrapped: a cell fired without its agents")
+            raise RuntimeError("a uint8 state count wrapped: a rule fired without its agents")
         labels = (lo + src, rule)
         if not self.edges:
             return new_key, new_cnt, *labels
@@ -729,11 +682,10 @@ def reach(p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP) -> ReachGraph:
 
     The search expands a whole BFS level at a time in numpy and numbers the
     nodes exactly as a node-by-node BFS would; each edge row lists the
-    successors in the order of their first enabled cell result and holds
-    exactly the configurations :func:`successors` returns other than the
-    node itself.  Returns the complete reachability graph with its BFS tree;
-    its occurring states, SCCs and bottom SCCs are computed when first
-    read.  Raises :class:`CapExceeded` iff more than ``node_cap`` nodes are
+    successors in the order of their first enabled rule and holds exactly
+    the configurations :func:`successors` returns other than the node
+    itself.  Returns the complete reachability graph with its BFS tree; its
+    SCCs and bottom SCCs are computed when first read.  Raises :class:`CapExceeded` iff more than ``node_cap`` nodes are
     reachable — never a partial graph.
     """
     counts, degrees = [], []

@@ -171,24 +171,17 @@ def occurrence_thresholds(
         raise ValueError("node_cap must be >= 1")
     n_max = min(n_cap, MAX_POPULATION)
     least, capped = _occurrence_by_size(p, n_max, node_cap)
-    # One row per size, marking the states first seen there.
-    occurs = np.zeros((n_max + 2, p.num_states), dtype=bool)
-    occurs[least, np.arange(p.num_states)] = True
-    values: dict[int, int] = {}
-    done = 0
+    stop = int(capped.argmax()) or n_max + 1  # the first capped size; size 0 never is
+    values = {q: v for v, q in sorted(zip(least.tolist(), range(p.num_states))) if v < stop}
     cap_error: str | None = None
-    for n in range(1, n_max + 1):
-        if capped[n]:
-            cap_error = _cap_message(p, n, node_cap)
-            break
-        for q in np.flatnonzero(occurs[n]).tolist():
-            values.setdefault(q, n)
-        done = n
-        if len(values) == p.num_states:
-            done = n_cap
-            break
-    if done == n_max < n_cap:
-        cap_error = f"population limit n={MAX_POPULATION} reached with states unknown"
+    if len(values) == p.num_states:
+        done = n_cap
+    elif stop <= n_max:
+        done, cap_error = stop - 1, _cap_message(p, stop, node_cap)
+    else:
+        done = n_max
+        if n_max < n_cap:
+            cap_error = f"population limit n={MAX_POPULATION} reached with states unknown"
     fixpoint = occurrence_upper_bounds(p)
     for q, v in values.items():
         ub = fixpoint.get(q)

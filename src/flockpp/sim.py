@@ -90,8 +90,11 @@ def run(p: Protocol, n: int, seed: int, max_steps: int = 1_000_000) -> SimReport
             return 0
         return None
 
+    # A rule is enabled in either order of its pair.
+    pairs = sorted({(min(ab), max(ab)) for ab in p._rules[:, :2].tolist()})
+
     def absorbing() -> bool:
-        for a, b, _has_id, _apps in p._cells:
+        for a, b in pairs:
             if a == b:
                 if counts[a] >= 2:
                     return False

@@ -24,6 +24,7 @@ import io
 import time
 from collections.abc import Callable
 from dataclasses import astuple, dataclass, field, fields
+from functools import cached_property, partial
 from typing import Any
 
 import numpy as np
@@ -61,11 +62,17 @@ class Verdict:
     """Outcome of one check: ``holds``, ``fails`` (with witness), or ``na``.
 
     A configuration witness comes with the :func:`encounter_trace` to it,
-    ``trace``, read off the search that found it; equality ignores it."""
+    ``trace``, read off the search that found it when first read; equality
+    ignores it.  Until then the verdict keeps only the rules along the
+    search's tree path to the witness, in ``_pending``."""
 
     status: str
     witness: Any = None
-    trace: list[TraceStep] | None = field(default=None, compare=False, repr=False)
+    _pending: Callable[[], list[TraceStep]] | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def trace(self) -> list[TraceStep] | None:
+        return None if self._pending is None else self._pending()
 
     @property
     def holds(self) -> bool:
@@ -137,7 +144,8 @@ def _verdict(g: ReachGraph, bad: np.ndarray) -> Verdict:
     if not bad.any():
         return HOLDS
     i = int(np.argmax(bad))
-    return Verdict("fails", g.config(i), _walk(g.protocol, g.tree, i, g.counts_matrix[i]))
+    walk = partial(_walk, g.protocol, _tree_path(g.tree, i), g.counts_matrix[i].tolist())
+    return Verdict("fails", g.config(i), walk)
 
 
 def check_soundness(
@@ -345,22 +353,25 @@ class TraceStep:
     after: Configuration
 
 
-def _walk(p: Protocol, tree: np.ndarray, i: int, counts: np.ndarray) -> list[TraceStep]:
-    """The steps from ``I_n`` to node ``i`` with count row ``counts`` along
-    the first parents of a BFS ``tree``, undoing each step's rule."""
+def _tree_path(tree: np.ndarray, i: int) -> list[int]:
+    """The rows of ``Protocol._rules`` that label node ``i`` and its first
+    parents in a BFS ``tree``, from ``i`` back to the root."""
     path: list[int] = []
     while i:
         path.append(i)
         i = tree[0, i]
-    counts = counts.tolist()
+    return tree[1, path].tolist()
+
+
+def _walk(p: Protocol, rules: list[int], counts: list[int]) -> list[TraceStep]:
+    """The steps from ``I_n`` to the node with count row ``counts`` along
+    its tree path ``rules``, from :func:`_tree_path`, undoing each rule."""
+    counts = counts.copy()
     n = sum(counts)
     names = [s.name for s in p.states]
     steps: list[TraceStep] = []
-    for a, b, c, d in p._rules[tree[1, path]].tolist():
+    for a, b, c, d in p._rules[rules].tolist():
         after = Configuration(tuple((q, k) for q, k in enumerate(counts) if k), n)
-        if (c, d) not in p.delta_of(a, b):
-            # A result of delta(b, a), which the cell lists swapped.
-            a, b, c, d = b, a, d, c
         steps.append(TraceStep((names[a], names[b]), (names[c], names[d]), after))
         counts[a] += 1
         counts[b] += 1
@@ -401,4 +412,5 @@ def encounter_trace(
         if not len(search.cnt):
             raise ValueError(f"target {target} is not reachable from I_{n}")
         search, tree, _ = next(levels)
-    return _walk(p, _tree(tree), search.num_nodes - len(search.cnt) + hit[0], want)
+    i = search.num_nodes - len(search.cnt) + hit[0]
+    return _walk(p, _tree_path(_tree(tree), i), want.tolist())

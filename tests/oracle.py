@@ -10,16 +10,25 @@ BFS that fixes the engine's node numbering and edge-row order,
 encounter traces, :func:`occurrence_by_sizes` the occurrence sweep over it, :func:`first_witnesses` reads the check verdicts and
 their first-bad-node witnesses off that BFS, and :func:`stepwise_run` is
 the plain simulator loop that fixes the seeded trajectory of
-:func:`flockpp.sim.run`.  :func:`support`, :func:`contains_any` and
-:func:`unanimous_in` read a :class:`~flockpp.Configuration`.
+:func:`flockpp.sim.run`.  :func:`count`, :func:`support`,
+:func:`contains_any` and :func:`unanimous_in` read a
+:class:`~flockpp.Configuration`, and :func:`configurations`,
+:func:`index_of`, :func:`successors_of` and :func:`occurring` a
+:class:`~flockpp.ReachGraph`.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from random import Random
 
-from flockpp import Configuration, Protocol
+from flockpp import Configuration, Protocol, ReachGraph
 from flockpp.sim import SimReport
+
+
+def count(c: Configuration, q: int) -> int:
+    """The number of agents of ``c`` in state ``q``."""
+    return dict(c.counts).get(q, 0)
 
 
 def support(c: Configuration) -> tuple[int, ...]:
@@ -35,6 +44,27 @@ def contains_any(c: Configuration, qs: frozenset[int]) -> bool:
 def unanimous_in(c: Configuration, qs: frozenset[int]) -> bool:
     """True when every agent of ``c`` is in a state from ``qs``."""
     return all(q in qs for q, _ in c.counts)
+
+
+def configurations(g: ReachGraph) -> Iterator[Configuration]:
+    """The nodes of ``g`` in node order."""
+    for i in range(len(g)):
+        yield g.config(i)
+
+
+def index_of(g: ReachGraph, c: Configuration) -> int | None:
+    """The node of ``g`` that is ``c``, or None if there is none."""
+    return next((i for i, node in enumerate(configurations(g)) if node == c), None)
+
+
+def successors_of(g: ReachGraph, i: int) -> list[int]:
+    """The targets of node ``i``'s edge row."""
+    return g.targets[g.indptr[i] : g.indptr[i + 1]].tolist()
+
+
+def occurring(g: ReachGraph) -> frozenset[int]:
+    """The states that hold an agent in some node of ``g``."""
+    return frozenset(q for c in configurations(g) for q, _ in c.counts)
 
 
 def agent_graph(p: Protocol, n: int) -> tuple[set[tuple], set[tuple]]:
@@ -226,7 +256,7 @@ def sequential_trace(
     Steps are ``(pair, result, after)`` with state names.
     """
     nq = p.num_states
-    want = tuple(target.count(q) for q in range(nq))
+    want = tuple(count(target, q) for q in range(nq))
     root = tuple(n if q == p.q_init else 0 for q in range(nq))
     nodes = [root]
     via: dict[tuple[int, ...], tuple | None] = {root: None}

@@ -51,7 +51,7 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     ),
     ("consensus checks the wrong side", VERIFY, "p.q0 if r == 1 else p.q1", "p.q1 if r == 1 else p.q0"),
     ("consensus looks outside bottom SCCs", VERIFY, "g.bottom[g.scc] & ", ""),
-    ("self-loop test off by one", CORE, "doubled > enabled_no_id", "doubled >= enabled_no_id"),
+    ("self-loop test off by one", CORE, "doubled > enabled", "doubled >= enabled"),
     (
         "diagonal cell enabled by one agent",
         CORE,
@@ -65,7 +65,7 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         "                leaves |= np.maximum.reduceat(labels, at) != own\n",
         "",
     ),
-    ("trace keeps swapped labels", VERIFY, "a, b, c, d = b, a, d, c", "pass"),
+    ("trace keeps swapped labels", CORE, "rows.append((x, y, c, d))", "rows.append((a, b) + move)"),
     (
         "reach checks the cap only at the end",
         CORE,
@@ -85,8 +85,20 @@ MUTANTS: list[tuple[str, str, str, str]] = [
     (
         "verdict trace walks from the root",
         VERIFY,
-        "_walk(g.protocol, g.tree, i, g.counts_matrix[i])",
-        "_walk(g.protocol, g.tree, 0, g.counts_matrix[i])",
+        "_tree_path(g.tree, i)",
+        "_tree_path(g.tree, 0)",
+    ),
+    (
+        "lazy verdict trace never walks",
+        VERIFY,
+        "return None if self._pending is None else self._pending()",
+        "return None",
+    ),
+    (
+        "verdict equality compares the pending trace",
+        VERIFY,
+        "_pending: Callable[[], list[TraceStep]] | None = field(default=None, compare=False",
+        "_pending: Callable[[], list[TraceStep]] | None = field(default=None, compare=True",
     ),
     ("simulator redraw bound off by one", SIM, "while y >= m:", "while y > m:"),
     (

@@ -12,7 +12,14 @@ import pytest
 
 import flockpp as fp
 from mutations import MUTATIONS, build_mutant
-from oracle import agent_graph, contains_any, quotient_nodes, unanimous_in
+from oracle import (
+    agent_graph,
+    configurations,
+    contains_any,
+    index_of,
+    quotient_nodes,
+    unanimous_in,
+)
 
 # ---------------------------------------------------------------------------
 
@@ -172,7 +179,7 @@ def test_criterion_5_oracle_equivalence() -> None:
                 g = fp.reach(p, n)
                 got = {
                     tuple(sorted(sum(([q] * c for q, c in cfg.counts), [])))
-                    for cfg in g.configurations()
+                    for cfg in configurations(g)
                 }
                 want = quotient_nodes(nodes)
                 if got != want:
@@ -268,7 +275,7 @@ def test_criterion_7_mutation_sensitivity() -> None:
             failures.append(f"{label}: {check} unexpectedly {verdict.status}")
             continue
         w = verdict.witness
-        i = g.index_of(w)
+        i = index_of(g, w)
         if i is None:
             failures.append(f"{label}: witness not reachable")
             continue

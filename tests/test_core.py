@@ -14,10 +14,15 @@ from flockpp import core, verify
 from mutations import MUTATIONS, build_mutant
 from oracle import (
     agent_graph,
+    configurations,
+    count,
+    index_of,
+    occurring,
     quotient_edges,
     quotient_nodes,
     sequential_reach,
     sequential_trace,
+    successors_of,
     support,
 )
 
@@ -35,8 +40,8 @@ def test_initial_configuration() -> None:
     c = fp.initial_configuration(p, 5)
     assert c.n == 5
     assert c.counts == ((p.q_init, 5),)
-    assert c.count(p.q_init) == 5
-    assert c.count(p.state_named("FINAL")) == 0
+    assert count(c, p.q_init) == 5
+    assert count(c, p.state_named("FINAL")) == 0
     for n in (0, fp.MAX_POPULATION + 1):
         with pytest.raises(ValueError, match=f"population size {n} is outside"):
             fp.initial_configuration(p, n)
@@ -163,11 +168,11 @@ def _assert_matches_agents(
     every graph row is ``successors()`` of its node minus the node itself,
     and ``successors()`` on every node, identity steps included, is the
     agent-indexed one-step relation ``edges`` up to permutation."""
-    assert {_multiset(cfg) for cfg in g.configurations()} == quotient_nodes(nodes)
+    assert {_multiset(cfg) for cfg in configurations(g)} == quotient_nodes(nodes)
     got_edges = set()
     for i in range(len(g)):
         c = g.config(i)
-        row = g.successors_of(i).tolist()
+        row = successors_of(g, i)
         assert i not in row
         succ = fp.successors(p, c)
         assert {g.config(j) for j in row} == succ - {c}
@@ -186,7 +191,7 @@ def test_permutation_quotient_equivalence(fam: str, d: int, n: int) -> None:
     _assert_matches_agents(p, g, nodes, edges)
     # Soundness verdicts agree.
     oracle_sound = not any(any(q in p.q1 for q in cfg) for cfg in nodes)
-    assert (not (g.occurring & p.q1)) == oracle_sound
+    assert (not (occurring(g) & p.q1)) == oracle_sound
 
 
 def test_asymmetric_protocol_supported() -> None:
@@ -202,7 +207,7 @@ def test_asymmetric_protocol_supported() -> None:
     nodes, edges = agent_graph(p, 3)
     g = fp.reach(p, 3)
     assert len(g) == len(quotient_nodes(nodes))
-    got = {tuple(sorted(sum(([q] * c for q, c in cfg.counts), []))) for cfg in g.configurations()}
+    got = {tuple(sorted(sum(([q] * c for q, c in cfg.counts), []))) for cfg in configurations(g)}
     assert got == quotient_nodes(nodes)
 
 
@@ -221,7 +226,7 @@ def test_one_sided_cell_keeps_identity_self_loop() -> None:
     assert succ == {c, fp.Configuration.from_pairs({0: 2})}
     nodes, edges = agent_graph(p, 2)
     g = fp.reach(p, 2)
-    assert [g.config(int(j)) for j in g.successors_of(g.index_of(c))] == [
+    assert [g.config(int(j)) for j in successors_of(g, index_of(g, c))] == [
         fp.Configuration.from_pairs({0: 2})
     ]
     _assert_matches_agents(p, g, nodes, edges)
@@ -275,19 +280,14 @@ def _steps(p: fp.Protocol) -> list[tuple[int, ...]]:
 
 @pytest.mark.parametrize("n", range(2, 8))
 def test_same_step_results_match_sequential_bfs(n: int) -> None:
-    # Four cell results move X to Y and two move Y back; a row lists each
-    # target once and the tree labels it with its first enabled result.
+    # Four rules move X to Y and two move Y back; a row lists each
+    # target once and the tree labels it with its first enabled rule.
     p = _catalyst_protocol()
     steps = _steps(p)
     assert sorted(steps.count(s) for s in set(steps))[-2:] == [2, 4]
-    nodes, rows = sequential_reach(p, n, 20_000)
-    g = fp.reach(p, n)
-    assert g.counts_matrix.tolist() == [list(c) for c in nodes]
-    assert [g.successors_of(i).tolist() for i in range(len(g))] == rows
-    for i in range(len(g)):
-        c = g.config(i)
-        assert fp.successors(p, c) - {c} == {g.config(j) for j in rows[i]}
-        walk = verify._walk(p, g.tree, i, g.counts_matrix[i])
+    g = _assert_matches_sequential_bfs(p, n, 20_000)
+    for i, c in enumerate(configurations(g)):
+        walk = verify._walk(p, verify._tree_path(g.tree, i), g.counts_matrix[i].tolist())
         assert [(s.pair, s.result, s.after) for s in walk] == sequential_trace(p, n, c)
     # One X beside C3 alone: only the last of the four X -> Y results fires.
     _, x, _, c1, c2, c3 = g.counts_matrix.T
@@ -318,7 +318,7 @@ def _first_occurrence(p: fp.Protocol, n_max: int) -> dict[int, int]:
     """The least size up to ``n_max`` whose graph holds each state."""
     first: dict[int, int] = {}
     for s in range(1, n_max + 1):
-        for q in fp.reach(p, s).occurring:
+        for q in occurring(fp.reach(p, s)):
             first.setdefault(q, s)
     return first
 
@@ -328,7 +328,7 @@ def test_population_is_conserved(fam: str, d: int) -> None:
     p = fp.build_family(fam, d)
     for n in (2, 5):
         g = fp.reach(p, n)
-        assert all(c.n == n for c in g.configurations())
+        assert all(c.n == n for c in configurations(g))
 
 
 @pytest.mark.parametrize("fam,d", [("a", 7), ("b", 7), ("b", 11), ("angluin", 6), ("pow2", 8)])
@@ -336,14 +336,14 @@ def test_occurrence_monotone_in_population(fam: str, d: int) -> None:
     p = fp.build_family(fam, d)
     prev: frozenset[int] = frozenset()
     for n in range(1, d + 3):
-        occ = fp.reach(p, n).occurring
+        occ = occurring(fp.reach(p, n))
         assert prev <= occ
         prev = occ
 
 
 def test_occurring_states_example() -> None:
     p = fp.build_protocol_a(7)
-    occ = fp.reach(p, 2).occurring
+    occ = occurring(fp.reach(p, 2))
     assert {p.display(q) for q in occ} == {"NB(1)", "NB(2)", "B(0)"}
 
 
@@ -353,7 +353,7 @@ def _closure(g: fp.ReachGraph, s: int) -> set[int]:
     stack = [s]
     while stack:
         v = stack.pop()
-        for w in g.successors_of(v).tolist():
+        for w in successors_of(g, v):
             if w not in seen:
                 seen.add(w)
                 stack.append(w)
@@ -381,7 +381,7 @@ def test_scc_matches_brute_force(fam: str, d: int, n: int) -> None:
     assert {frozenset(c) for c in got.values()} == want
     # Bottom components have no outgoing inter-component edge...
     for v in range(len(g)):
-        for w in g.successors_of(v):
+        for w in successors_of(g, v):
             if g.bottom[g.scc[v]]:
                 assert g.scc[int(w)] == g.scc[v]
     # ...and every node can reach one.
@@ -444,7 +444,7 @@ def test_can_reach_predicate_maps_mask_to_mask() -> None:
     m = build_mutant(MUTATIONS[2])
     g = fp.reach(m, 7)
     fin = m.state_named("FINAL")
-    good = np.array([g.config(i).count(fin) > 0 for i in range(len(g))])
+    good = np.array([count(g.config(i), fin) > 0 for i in range(len(g))])
     kept = good.copy()
     reached = fp.can_reach_predicate(g, good)
     targets = set(np.flatnonzero(good).tolist())
@@ -461,8 +461,8 @@ def test_reach_graph_index_of() -> None:
     p = fp.build_protocol_b(7)
     g = fp.reach(p, 4)
     for i in range(len(g)):
-        assert g.index_of(g.config(i)) == i
-    assert g.index_of(fp.Configuration.from_pairs({p.state_named("FINAL"): 4})) is None
+        assert index_of(g, g.config(i)) == i
+    assert index_of(g, fp.Configuration.from_pairs({p.state_named("FINAL"): 4})) is None
 
 
 # -- protocol validation ----------------------------------------------------
@@ -650,21 +650,27 @@ def wide_protocols(draw):
     return fp.make_protocol("wide", names, names[active[0]], q1, rules, deterministic=False)
 
 
-def _assert_matches_sequential_bfs(p: fp.Protocol, n: int) -> None:
-    want = sequential_reach(p, n, WIDE_NODE_CAP)
+def _assert_matches_sequential_bfs(
+    p: fp.Protocol, n: int, node_cap: int = WIDE_NODE_CAP
+) -> fp.ReachGraph | None:
+    """``reach`` gives the nodes and edge rows of :func:`sequential_reach`,
+    and each row is ``successors()`` minus its node; returns the graph, or
+    None when both searches are capped."""
+    want = sequential_reach(p, n, node_cap)
     if want is None:
         with pytest.raises(fp.CapExceeded):
-            fp.reach(p, n, WIDE_NODE_CAP)
-        return
+            fp.reach(p, n, node_cap)
+        return None
     nodes, rows = want
-    g = fp.reach(p, n, WIDE_NODE_CAP)
+    g = fp.reach(p, n, node_cap)
     record_size(len(g))
     assert g.counts_matrix.tolist() == [list(c) for c in nodes]
-    assert [g.successors_of(i).tolist() for i in range(len(g))] == rows
+    assert [successors_of(g, i) for i in range(len(g))] == rows
     for i in range(len(g)):
         c = g.config(i)
         assert i not in rows[i]
         assert fp.successors(p, c) - {c} == {g.config(j) for j in rows[i]}
+    return g
 
 
 @settings(max_examples=40)
@@ -741,10 +747,7 @@ def test_digit_boundary_matches_sequential_bfs(n: int, nq: int, words: int) -> N
     # 32**13 == 2**65, so at n = 31 a word holds 12 digits and not 13.
     p = _digit_protocol(nq)
     assert core._LevelSearch(p, n, [n], edges=True).key.itemsize == 8 * words
-    nodes, rows = sequential_reach(p, n, 20_000)
-    g = fp.reach(p, n)
-    assert g.counts_matrix.tolist() == [list(c) for c in nodes]
-    assert [g.successors_of(i).tolist() for i in range(len(g))] == rows
+    g = _assert_matches_sequential_bfs(p, n, 20_000)
     assert g.counts_matrix[:, nq - 2].max() == n
 
 
@@ -801,19 +804,16 @@ def _terminal_protocol() -> fp.Protocol:
 
 @pytest.mark.parametrize("n", [1, 2, 3])
 def test_blocks_without_enabled_results(monkeypatch, n: int) -> None:
-    # At n = 1 no cell result is enabled.  At n = 2 and 3, in blocks of
+    # At n = 1 no rule is enabled.  At n = 2 and 3, in blocks of
     # three frontier rows, the first level's first block holds only the
     # three terminal T pairs (beside one S at n = 3), and at n = 2 the last
     # level holds only the terminal A + B.
     p = _terminal_protocol()
     monkeypatch.setattr(core, *SEARCH_PATCHES["blocks"])
-    nodes, rows = sequential_reach(p, n, 1_000)
-    g = fp.reach(p, n)
-    assert g.counts_matrix.tolist() == [list(c) for c in nodes]
-    assert [g.successors_of(i).tolist() for i in range(len(g))] == rows
-    assert [fp.encounter_trace(p, n, c) for c in g.configurations()] == [
-        [verify.TraceStep(*step) for step in sequential_trace(p, n, c)] for c in g.configurations()
+    g = _assert_matches_sequential_bfs(p, n, 1_000)
+    assert [fp.encounter_trace(p, n, c) for c in configurations(g)] == [
+        [verify.TraceStep(*step) for step in sequential_trace(p, n, c)] for c in configurations(g)
     ]
     assert fp.occurrence_thresholds(p, n).values == _first_occurrence(p, n)
     if n > 1:
-        assert rows[1:4] == [[], [], []]
+        assert [successors_of(g, i) for i in (1, 2, 3)] == [[], [], []]

@@ -13,7 +13,15 @@ from flockpp import core, verify
 from flockpp.core import reach
 from flockpp.verify import TABLE_COLUMNS
 from mutations import MUTATIONS, build_mutant, rewrite_encounter
-from oracle import first_witnesses, sequential_trace, unanimous_in
+from oracle import (
+    configurations,
+    count,
+    first_witnesses,
+    index_of,
+    sequential_trace,
+    successors_of,
+    unanimous_in,
+)
 from test_core import nontrivial_protocols, record_size, small_protocols, wide_protocols
 
 # -- b(7) end to end ---------------------------------------------------------
@@ -123,7 +131,7 @@ def test_soundness_failure_witness_is_reachable_and_accepting() -> None:
     assert v.failed
     w = v.witness
     assert w.pretty(m) == "2*FINAL"
-    assert fp.reach(m, 2).index_of(w) is not None
+    assert index_of(fp.reach(m, 2), w) is not None
 
 
 def test_completeness_failure_witness_cannot_accept() -> None:
@@ -133,13 +141,13 @@ def test_completeness_failure_witness_cannot_accept() -> None:
     # From the witness, no configuration containing FINAL is ever reachable.
     fin = m.state_named("FINAL")
     g = fp.reach(m, 7)
-    i = g.index_of(v.witness)
+    i = index_of(g, v.witness)
     assert i is not None
     stack, seen = [i], {i}
     while stack:
         x = stack.pop()
-        assert g.config(x).count(fin) == 0
-        for y in g.successors_of(x):
+        assert count(g.config(x), fin) == 0
+        for y in successors_of(g, x):
             if int(y) not in seen:
                 seen.add(int(y))
                 stack.append(int(y))
@@ -150,7 +158,7 @@ def test_consensus_failure_witness_in_bottom_scc() -> None:
     v = fp.check_consensus(m, 1, 7)
     assert v.failed
     g = fp.reach(m, 7)
-    i = g.index_of(v.witness)
+    i = index_of(g, v.witness)
     assert i is not None
     assert g.bottom[g.scc[i]]
     assert not unanimous_in(v.witness, m.q1)
@@ -359,8 +367,8 @@ def test_trace_to_all_accepting() -> None:
     cur = fp.initial_configuration(p, 7)
     for s in steps:
         a, b = (p.state_named(x) for x in s.pair)
-        assert cur.count(a) >= (2 if a == b else 1)
-        assert cur.count(b) >= 1
+        assert count(cur, a) >= (2 if a == b else 1)
+        assert count(cur, b) >= 1
         c, d = (p.state_named(x) for x in s.result)
         assert (c, d) in p.delta_of(a, b)
         nxt = dict(cur.counts)
@@ -404,7 +412,7 @@ def _ball(g: fp.ReachGraph, i: int) -> int:
     """Number of nodes of ``g`` within node ``i``'s BFS depth."""
     depth = [0] + [-1] * (len(g) - 1)
     for v in range(len(g)):  # BFS numbering: every parent precedes its child
-        for w in g.successors_of(v).tolist():
+        for w in successors_of(g, v):
             if depth[w] < 0:
                 depth[w] = depth[v] + 1
     return sum(0 <= k <= depth[i] for k in depth)
@@ -420,7 +428,7 @@ def test_trace_respects_node_cap() -> None:
     # counted nodes until it reached the target would need 12 here.
     for target, ball in (({fin: 7}, 18), ({nb1: 1, b: 3, fin: 3}, 11)):
         target = fp.Configuration.from_pairs(target)
-        assert _ball(g, g.index_of(target)) == ball
+        assert _ball(g, index_of(g, target)) == ball
         full = fp.encounter_trace(p, 7, target)
         assert fp.encounter_trace(p, 7, target, node_cap=ball) == full
         with pytest.raises(fp.CapExceeded):
@@ -452,7 +460,7 @@ def _assert_traces_match_oracle(p: fp.Protocol, n: int) -> None:
     except fp.CapExceeded:
         return
     record_size(len(g))
-    for c in g.configurations():
+    for c in configurations(g):
         steps = fp.encounter_trace(p, n, c)
         assert [(s.pair, s.result, s.after) for s in steps] == sequential_trace(p, n, c)
 
