@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 import flockpp as fp
 from oracle import occurrence_by_sizes, occurrence_by_sweep
@@ -78,11 +78,24 @@ def test_initial_state_at_one_and_accepting_at_d(fam: str, d: int) -> None:
     assert fp.check_state_lower_bound(p, d).holds
 
 
+#: Sizes 1-4 reach 1, 2, 4 and 7 nodes.  At a node cap of 2, size 2 meets
+#: the cap without passing it.  At a cap of 3 the wave of sizes 3-4 finds
+#: size 4 capped first, so the stop moves to 4; size 3, the last size the
+#: sweep then reads, must still be searched, since it too passes the cap.
+LATE_STATE = fp.make_protocol(
+    "late", ["S0", "S1", "S2", "S3"], "S0", [],
+    {("S0", "S0"): [("S2", "S1")], ("S2", "S0"): [("S0", "S0")]},
+    deterministic=False,
+)
+
+
 @given(
     st.one_of(small_protocols(), nontrivial_protocols(), wide_protocols()),
     st.integers(1, 50),
     st.one_of(st.integers(1, 20), st.integers(250, 300)),
 )
+@example(LATE_STATE, 2, 4)
+@example(LATE_STATE, 3, 4)
 def test_occurrence_thresholds_match_a_naive_sweep(p: fp.Protocol, node_cap: int, n_cap: int) -> None:
     # Node caps of 1-50 stop the sweep at some size on most protocols, and
     # n_cap above the population limit makes it stop there on the rest.
