@@ -17,10 +17,10 @@ relation, exponentially fewer nodes.
 from __future__ import annotations
 
 import json
+import operator
 from collections.abc import Iterator, Mapping, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any
 
 import numpy as np
 from scipy import sparse
@@ -93,10 +93,6 @@ class Protocol:
     listed maps to identity, which keeps the table total while letting
     wide protocols (the unary baseline has Theta(d^2) non-trivial entries)
     stay affordable.  Use :meth:`delta_of` for the dense view.
-
-    ``params`` carries optional construction metadata (threshold ``d`` and
-    derived quantities); it is excluded from equality, hashing, and
-    serialization.
     """
 
     name: str
@@ -105,7 +101,6 @@ class Protocol:
     q1: frozenset[int]
     delta: tuple[tuple[int, int, tuple[Pair, ...]], ...]
     deterministic: bool = True
-    params: Any = field(default=None, compare=False, repr=False)
 
     @property
     def num_states(self) -> int:
@@ -222,7 +217,6 @@ def make_protocol(
     q1: Sequence[str],
     rules: Mapping[tuple[str, str], Sequence[tuple[str, str]]],
     deterministic: bool = True,
-    params: Any = None,
 ) -> Protocol:
     """Build a validated :class:`Protocol` from state names.
 
@@ -258,7 +252,6 @@ def make_protocol(
         q1=frozenset(idx[n] for n in q1),
         delta=tuple(sorted(entries)),
         deterministic=deterministic,
-        params=params,
     )
     p.validate()
     return p
@@ -266,14 +259,17 @@ def make_protocol(
 
 def initial_configuration(p: Protocol, n: int) -> Configuration:
     """The configuration I_n with all ``n`` agents in ``q_init``."""
-    _check_population(n)
+    n = _check_population(n)
     return Configuration(counts=((p.q_init, n),), n=n)
 
 
-def _check_population(n: int) -> None:
-    """Raise ``ValueError`` unless ``1 <= n <= MAX_POPULATION``."""
+def _check_population(n: int) -> int:
+    """``n`` as an ``int``; raises ``TypeError`` unless it is an integer and
+    ``ValueError`` unless ``1 <= n <= MAX_POPULATION``."""
+    n = operator.index(n)
     if not 1 <= n <= MAX_POPULATION:
         raise ValueError(f"population size {n} is outside [1, {MAX_POPULATION}]")
+    return n
 
 
 def successors(p: Protocol, c: Configuration) -> set[Configuration]:
@@ -372,10 +368,10 @@ class ReachGraph:
 
     @cached_property
     def _csr(self) -> sparse.csr_matrix:
-        """The edges as an int8 matrix, the operand of the closure's
-        products: scipy copies float data on every product."""
+        """The edges as a bool matrix, the operand of the closure's
+        products: with a bool frontier scipy casts nothing per product."""
         n = len(self)
-        data = np.ones(self.targets.shape[0], dtype=np.int8)
+        data = np.ones(self.targets.shape[0], dtype=bool)
         return sparse.csr_matrix((data, self.targets, self.indptr), shape=(n, n))
 
     @cached_property
@@ -652,7 +648,7 @@ def _levels(p: Protocol, n: int, node_cap: int, edges: bool) -> Iterator[tuple]:
     search from ``I_n`` and after each level, raising :class:`CapExceeded` at the first past the
     cap: the BFS tree so far as one int32 ``(parents, rules)`` pair per level, which
     :func:`_tree` joins, and the expand's other columns."""
-    _check_population(n)
+    n = _check_population(n)
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
     search = _LevelSearch(p, n, [n], edges)
@@ -726,8 +722,7 @@ def can_reach_predicate(g: ReachGraph, good: np.ndarray) -> np.ndarray:
         a = g._csr
         frontier = mask.copy()
         while frontier.any():
-            hit = a.dot(frontier.astype(np.float32)) > 0
-            frontier = hit & ~mask
+            frontier = a.dot(frontier) & ~mask
             mask |= frontier
     return mask
 

@@ -21,6 +21,7 @@ fixpoint bound independently, and the sweep cross-checks itself against it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -165,6 +166,7 @@ def occurrence_thresholds(
     unknown beyond the last completed size; it stops the same way at the
     population limit :data:`~flockpp.core.MAX_POPULATION`.
     """
+    n_cap, node_cap = operator.index(n_cap), operator.index(node_cap)
     if n_cap < 1:
         raise ValueError("n_cap must be >= 1")
     if node_cap < 1:

@@ -27,6 +27,7 @@ state budgets:
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .core import Protocol, make_protocol
@@ -80,6 +81,7 @@ def _bits_desc(v: int) -> tuple[int, ...]:
 
 
 def threshold_params(d: int) -> ThresholdParams:
+    d = operator.index(d)
     if d < 1:
         raise InvalidThreshold(f"threshold must be >= 1, got {d}")
     i_list = _bits_desc(d)
@@ -101,7 +103,6 @@ def _trivial(name: str, state: str) -> Protocol:
         q_init=state,
         q1=[state],
         rules={},
-        params=threshold_params(1),
     )
 
 
@@ -120,7 +121,7 @@ def build_angluin(d: int) -> Protocol:
     everything; when ``x + y >= d`` both convert, and ``CONV`` then spreads
     by contact.  ``Q1 = {CONV}``.
     """
-    pr = threshold_params(d)
+    d = threshold_params(d).d
     if d == 1:
         return _trivial("angluin(d=1)", "CONV")
     coins = [f"COINS({x})" for x in range(d)]
@@ -140,7 +141,6 @@ def build_angluin(d: int) -> Protocol:
         q_init=coins[1],
         q1=["CONV"],
         rules=rules,
-        params=pr,
     )
 
 
@@ -152,7 +152,7 @@ def build_power_of_two(d: int) -> Protocol:
     of ``2^(m-1)`` convert directly (their union holds ``d`` coins), and
     ``FINAL`` spreads by contact.
     """
-    pr = threshold_params(d)
+    d = threshold_params(d).d
     if d & (d - 1):
         raise InvalidThreshold(f"threshold {d} is not a power of two")
     if d == 1:
@@ -171,7 +171,6 @@ def build_power_of_two(d: int) -> Protocol:
         q_init=nb[0],
         q1=["FINAL"],
         rules=rules,
-        params=pr,
     )
 
 
@@ -189,6 +188,7 @@ def build_protocol_a(d: int) -> Protocol:
     meet.  ``FINAL`` spreads by contact.
     """
     pr = threshold_params(d)
+    d = pr.d
     if d == 1:
         return _trivial("a(d=1)", "FINAL")
     i1 = pr.i_list[0]
@@ -224,7 +224,6 @@ def build_protocol_a(d: int) -> Protocol:
         q_init=nb[0],
         q1=["FINAL"],
         rules=rules,
-        params=pr,
     )
 
 
@@ -239,6 +238,7 @@ def build_protocol_b(d: int) -> Protocol:
     (``NS`` states), meeting a bankrupt peels off the smallest summand into
     that agent.  Two ``2^k`` piles convert, and ``FINAL`` spreads by contact.
     """
+    d = operator.index(d)
     if d < 3:
         raise InvalidThreshold(f"overshoot construction needs d >= 3, got {d}")
     if d & (d - 1) == 0:
@@ -270,7 +270,6 @@ def build_protocol_b(d: int) -> Protocol:
         q_init=nb[0],
         q1=["FINAL"],
         rules=rules,
-        params=pr,
     )
 
 

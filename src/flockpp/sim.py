@@ -72,7 +72,7 @@ def run(p: Protocol, n: int, seed: int, max_steps: int = 1_000_000) -> SimReport
     ``randrange(len(cell))`` only on a nondeterministic cell; see the module
     docstring.
     """
-    _check_population(n)
+    n = _check_population(n)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     rng = Random(seed)

@@ -121,14 +121,6 @@ class VerificationReport:
         return not any(v.failed for v in (self.sound, self.complete, self.consensus))
 
 
-def _graph_for(p: Protocol, n: int, node_cap: int, graph: ReachGraph | None) -> ReachGraph:
-    if graph is not None:
-        if graph.protocol != p or graph.n != n:
-            raise ValueError("supplied graph does not match the protocol and n")
-        return graph
-    return reach(p, n, node_cap)
-
-
 def _holding(g: ReachGraph, states: frozenset[int]) -> np.ndarray:
     """Mask of the nodes with at least one agent in ``states``."""
     # One product copies no count column.  A node's counts sum to
@@ -148,22 +140,17 @@ def _verdict(g: ReachGraph, bad: np.ndarray) -> Verdict:
     return Verdict("fails", g.config(i), walk)
 
 
-def check_soundness(
-    p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP, graph: ReachGraph | None = None
-) -> Verdict:
-    """No reachable configuration at size ``n`` contains an accepting state.
+def check_soundness(g: ReachGraph) -> Verdict:
+    """No configuration of ``g`` contains an accepting state.
 
     ``AG not Q1``: the bad nodes have a Q1 agent, and the witness on failure
     is the first of them in BFS order.
     """
-    g = _graph_for(p, n, node_cap, graph)
-    return _verdict(g, _holding(g, p.q1))
+    return _verdict(g, _holding(g, g.protocol.q1))
 
 
-def check_completeness(
-    p: Protocol, n: int, node_cap: int = DEFAULT_NODE_CAP, graph: ReachGraph | None = None
-) -> Verdict:
-    """Every reachable configuration can still reach an accepting one.
+def check_completeness(g: ReachGraph) -> Verdict:
+    """Every configuration of ``g`` can still reach an accepting one.
 
     ``AG EF Q1``: the bad nodes cannot reach a node with a Q1 agent, and the
     witness on failure is the first of them in BFS order.  Every node
@@ -171,8 +158,7 @@ def check_completeness(
     every bottom component has a node with a Q1 agent; only a failing check
     needs the backward closure, to find its bad nodes.
     """
-    g = _graph_for(p, n, node_cap, graph)
-    accepting = _holding(g, p.q1)
+    accepting = _holding(g, g.protocol.q1)
     with_q1 = np.zeros(len(g.bottom), dtype=bool)
     with_q1[g.scc[accepting]] = True
     if not (g.bottom & ~with_q1).any():
@@ -180,14 +166,8 @@ def check_completeness(
     return _verdict(g, ~can_reach_predicate(g, accepting))
 
 
-def check_consensus(
-    p: Protocol,
-    r: int,
-    n: int,
-    node_cap: int = DEFAULT_NODE_CAP,
-    graph: ReachGraph | None = None,
-) -> Verdict:
-    """Fair runs at size ``n`` stabilize to unanimous output ``r``.
+def check_consensus(g: ReachGraph, r: int) -> Verdict:
+    """Fair runs on ``g`` stabilize to unanimous output ``r``.
 
     Checked structurally: every configuration of every bottom SCC must have
     all agents in Q1 (``r = 1``) or all in Q0 (``r = 0``).  The witness on
@@ -195,7 +175,7 @@ def check_consensus(
     """
     if r not in (0, 1):
         raise ValueError(f"expected output bit must be 0 or 1, got {r}")
-    g = _graph_for(p, n, node_cap, graph)
+    p = g.protocol
     return _verdict(g, g.bottom[g.scc] & _holding(g, p.q0 if r == 1 else p.q1))
 
 
@@ -228,11 +208,11 @@ def verify_range(
             cap_nodes, cap_levels = exc.nodes, exc.levels
         else:
             if n < d:
-                sound = check_soundness(p, n, graph=g)
-                consensus = check_consensus(p, 0, n, graph=g)
+                sound = check_soundness(g)
+                consensus = check_consensus(g, 0)
             else:
-                complete = check_completeness(p, n, graph=g)
-                consensus = check_consensus(p, 1, n, graph=g)
+                complete = check_completeness(g)
+                consensus = check_consensus(g, 1)
                 if consensus.holds and not complete.holds:
                     raise RuntimeError(
                         f"internal inconsistency for {p.name!r} at n={n}: "
@@ -396,17 +376,21 @@ def encounter_trace(
     depth (all of them when the target is unreachable), which is
     :func:`~flockpp.core.reach`'s rule applied to that ball.  Raises
     ``ValueError`` without searching when ``n`` is out of range,
-    ``node_cap < 1``, or the target has another population size or an
-    unknown state, and after the search when the target is not reachable.
+    ``node_cap < 1``, or the target has another population size, an
+    unknown or negative state or a negative count, and after the search
+    when the target is not reachable.
     Intended for explaining check witnesses.
     """
     levels = _levels(p, n, node_cap, edges=False)
     search, tree, _ = next(levels)  # checks n and node_cap first
     nq = p.num_states
-    if target.n != n or any(q >= nq for q, _ in target.counts):
+    counts = target.counts
+    if target.n != n or sum(k for _, k in counts) != n or any(
+        not 0 <= q < nq or k < 0 for q, k in counts
+    ):
         raise ValueError(f"target {target} is not a configuration of {p.name!r} at n={n}")
     want = np.zeros(nq, dtype=np.uint8)
-    for q, k in target.counts:
+    for q, k in counts:
         want[q] = k
     while not (hit := (search.cnt == want).all(axis=1).nonzero()[0]).size:
         if not len(search.cnt):

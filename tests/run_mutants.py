@@ -9,7 +9,8 @@ a few.  The script first runs ``pytest -m "not slow" -x -q`` on an unmutated
 copy of the repository, which must pass.  Then, for each mutant, it copies
 the repository (without ``.git``) to a temporary directory, requires ``old``
 to occur exactly once in ``file`` so that the list cannot go stale
-silently, applies the edit and runs the same command, which must report a
+silently (``tests/test_run_mutants.py`` checks the same in the fast
+suite), applies the edit and runs the same command, which must report a
 failing test (exit status 1) or run past :data:`TIMEOUT_FACTOR` times the
 unmutated run: a mutant can make a search run away (wrapped uint8 counts
 reach new configurations without end) before any test fails.  It prints
@@ -100,6 +101,13 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         "_pending: Callable[[], list[TraceStep]] | None = field(default=None, compare=False",
         "_pending: Callable[[], list[TraceStep]] | None = field(default=None, compare=True",
     ),
+    (
+        "trace target's negative state indexes the last state",
+        VERIFY,
+        "not 0 <= q < nq or k < 0",
+        "q >= nq or k < 0",
+    ),
+    ("float population size accepted", CORE, "    n = operator.index(n)\n", ""),
     ("simulator redraw bound off by one", SIM, "while y >= m:", "while y > m:"),
     (
         "last count implied with several roots",

@@ -188,7 +188,7 @@ def test_criterion_5_oracle_equivalence() -> None:
                 if len(g) != len(want):
                     failures.append(f"{fam}(d={d}) n={n}: node count differs")
                 oracle_sound = not any(any(q in p.q1 for q in cfg) for cfg in nodes)
-                got_sound = fp.check_soundness(p, n, graph=g).holds
+                got_sound = fp.check_soundness(g).holds
                 if got_sound != oracle_sound:
                     failures.append(f"{fam}(d={d}) n={n}: soundness verdicts differ")
     _report("criterion 5: oracle equivalence", failures)
@@ -267,9 +267,9 @@ def test_criterion_7_mutation_sensitivity() -> None:
         m = build_mutant(entry)
         g = fp.reach(m, n)
         verdict = {
-            "sound": lambda: fp.check_soundness(m, n, graph=g),
-            "complete": lambda: fp.check_completeness(m, n, graph=g),
-            "consensus": lambda: fp.check_consensus(m, 1 if n >= d else 0, n, graph=g),
+            "sound": lambda: fp.check_soundness(g),
+            "complete": lambda: fp.check_completeness(g),
+            "consensus": lambda: fp.check_consensus(g, 1 if n >= d else 0),
         }[check]()
         if not verdict.failed:
             failures.append(f"{label}: {check} unexpectedly {verdict.status}")

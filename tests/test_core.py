@@ -113,6 +113,8 @@ def test_reach_rejects_bad_inputs() -> None:
         fp.reach(p, 256)
     with pytest.raises(ValueError):
         fp.reach(p, 3, node_cap=0)
+    with pytest.raises(TypeError):
+        fp.reach(p, 7.5)  # would search n = 7 and label the graph 7.5
 
 
 def test_reach_cap_exceeded() -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import example, given, strategies as st
 
@@ -186,6 +187,17 @@ def test_sweep_stops_at_population_limit() -> None:
 def test_occurrence_thresholds_rejects_bad_n_cap() -> None:
     with pytest.raises(ValueError):
         fp.occurrence_thresholds(fp.build_protocol_a(7), 0)
+    with pytest.raises(TypeError):
+        fp.occurrence_thresholds(fp.build_protocol_a(7), 9.5)
+    with pytest.raises(TypeError):
+        fp.occurrence_thresholds(fp.build_protocol_a(7), 9, node_cap=1e6)
+
+
+def test_occurrence_thresholds_from_numpy_integer_sizes() -> None:
+    p = fp.build_protocol_a(7)
+    for node_cap in (3, 1000):
+        want = fp.occurrence_thresholds(p, 9, node_cap=node_cap)
+        assert fp.occurrence_thresholds(p, np.int64(9), node_cap=np.int64(node_cap)) == want
 
 
 def test_doubling_gap_failure_on_synthetic_map() -> None:

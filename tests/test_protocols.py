@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -52,6 +53,12 @@ def test_params_arithmetic_invariants(d: int) -> None:
 def test_params_rejects_nonpositive(d: int) -> None:
     with pytest.raises(fp.InvalidThreshold):
         fp.threshold_params(d)
+
+
+def test_params_take_integer_thresholds_only() -> None:
+    with pytest.raises(TypeError):
+        fp.threshold_params(7.0)
+    assert fp.threshold_params(np.int64(7)) == fp.threshold_params(7)
 
 
 # -- state counts ------------------------------------------------------------
@@ -107,7 +114,6 @@ def test_family_protocols_are_wellformed(fam: str, d: int) -> None:
     p = fp.build_family(fam, d)
     p.validate()
     assert p.deterministic
-    assert p.params.d == d
     # Exactly one accepting state, and it converts every encounter partner.
     assert len(p.q1) == 1
     q1 = next(iter(p.q1))
@@ -129,6 +135,14 @@ def test_family_protocols_are_wellformed(fam: str, d: int) -> None:
 def test_build_family_rejects_unknown() -> None:
     with pytest.raises(ValueError):
         fp.build_family("nope", 7)
+
+
+@pytest.mark.parametrize("fam", fp.FAMILIES)
+def test_builders_take_integer_thresholds_only(fam: str) -> None:
+    d = 8 if fam == "pow2" else 7
+    with pytest.raises(TypeError):
+        fp.build_family(fam, float(d))
+    assert fp.build_family(fam, np.int64(d)) == fp.build_family(fam, d)
 
 
 # -- angluin -----------------------------------------------------------------

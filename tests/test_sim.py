@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 from hypothesis import given, strategies as st
 
@@ -49,7 +50,7 @@ def test_b7_converges_to_all_accepting() -> None:
 def test_below_threshold_never_emits_and_verifier_agrees() -> None:
     p = fp.build_protocol_b(7)
     for n in range(1, 7):
-        assert fp.check_soundness(p, n).holds
+        assert fp.check_soundness(fp.reach(p, n)).holds
         for seed in range(5):
             r = fp.run(p, n, seed=seed, max_steps=50_000)
             assert not r.ever_emitted_q1
@@ -122,6 +123,13 @@ def test_run_rejects_bad_arguments() -> None:
         fp.run(p, 256, seed=1)
     with pytest.raises(ValueError):
         fp.run(p, 3, seed=1, max_steps=0)
+    with pytest.raises(TypeError):
+        fp.run(p, 7.5, seed=1)
+
+
+def test_run_from_a_numpy_integer_size() -> None:
+    p = fp.build_protocol_b(7)
+    assert fp.run(p, np.int64(9), seed=3, max_steps=5000) == fp.run(p, 9, seed=3, max_steps=5000)
 
 
 # -- the seeded trajectory contract -------------------------------------------

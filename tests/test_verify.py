@@ -109,38 +109,34 @@ def test_verify_range_holds_one_graph_at_a_time(monkeypatch) -> None:
 
 
 def test_checks_reuse_supplied_graph() -> None:
-    p = fp.build_protocol_b(7)
-    g = fp.reach(p, 7)
-    assert fp.check_completeness(p, 7, graph=g).holds
-    assert fp.check_consensus(p, 1, 7, graph=g).holds
-    with pytest.raises(ValueError):
-        fp.check_soundness(p, 6, graph=g)  # graph built for a different n
-    with pytest.raises(ValueError):
-        fp.check_soundness(fp.build_protocol_a(7), 7, graph=g)
+    g = fp.reach(fp.build_protocol_b(7), 7)
+    assert fp.check_completeness(g).holds
+    assert fp.check_consensus(g, 1).holds
 
 
 def test_check_consensus_rejects_bad_bit() -> None:
     p = fp.build_protocol_b(7)
     with pytest.raises(ValueError):
-        fp.check_consensus(p, 2, 3)
+        fp.check_consensus(fp.reach(p, 3), 2)
 
 
 def test_soundness_failure_witness_is_reachable_and_accepting() -> None:
     m = build_mutant(("b", 7, ("NB(1)", "NB(1)"), [("FINAL", "FINAL")], "sound", 2))
-    v = fp.check_soundness(m, 2)
+    g = fp.reach(m, 2)
+    v = fp.check_soundness(g)
     assert v.failed
     w = v.witness
     assert w.pretty(m) == "2*FINAL"
-    assert index_of(fp.reach(m, 2), w) is not None
+    assert index_of(g, w) is not None
 
 
 def test_completeness_failure_witness_cannot_accept() -> None:
     m = build_mutant(("b", 7, ("NB(2)", "NB(2)"), [("NB(4)", "B")], "complete", 7))
-    v = fp.check_completeness(m, 7)
+    g = fp.reach(m, 7)
+    v = fp.check_completeness(g)
     assert v.failed
     # From the witness, no configuration containing FINAL is ever reachable.
     fin = m.state_named("FINAL")
-    g = fp.reach(m, 7)
     i = index_of(g, v.witness)
     assert i is not None
     stack, seen = [i], {i}
@@ -155,9 +151,9 @@ def test_completeness_failure_witness_cannot_accept() -> None:
 
 def test_consensus_failure_witness_in_bottom_scc() -> None:
     m = build_mutant(("b", 7, ("FINAL", "FINAL"), [("NB(1)", "NB(1)")], "consensus", 7))
-    v = fp.check_consensus(m, 1, 7)
-    assert v.failed
     g = fp.reach(m, 7)
+    v = fp.check_consensus(g, 1)
+    assert v.failed
     i = index_of(g, v.witness)
     assert i is not None
     assert g.bottom[g.scc[i]]
@@ -170,9 +166,9 @@ def test_each_mutation_is_caught(entry) -> None:
     m = build_mutant(entry)
     g = fp.reach(m, n)
     verdicts = {
-        "sound": fp.check_soundness(m, n, graph=g),
-        "complete": fp.check_completeness(m, n, graph=g),
-        "consensus": fp.check_consensus(m, 1 if n >= d else 0, n, graph=g),
+        "sound": fp.check_soundness(g),
+        "complete": fp.check_completeness(g),
+        "consensus": fp.check_consensus(g, 1 if n >= d else 0),
     }
     assert verdicts[check].failed
 
@@ -255,8 +251,8 @@ def test_consensus_can_fail_while_completeness_holds() -> None:
         {("X", "X"): [("X", "Y")], ("Y", "Y"): [("X", "X")]},
     )
     g = fp.reach(q, 2)
-    assert fp.check_completeness(q, 2, graph=g).holds
-    v = fp.check_consensus(q, 1, 2, graph=g)
+    assert fp.check_completeness(g).holds
+    v = fp.check_consensus(g, 1)
     assert v.failed
     assert v.witness.pretty(q) == "1*X + 1*Y"
 
@@ -281,8 +277,8 @@ def test_consensus_on_1_implies_completeness(p: fp.Protocol, n: int) -> None:
     # Structural fact the verifier asserts internally on every run; it must
     # hold for arbitrary protocols, not only the built-in families.
     g = fp.reach(p, n)
-    if fp.check_consensus(p, 1, n, graph=g).holds:
-        assert fp.check_completeness(p, n, graph=g).holds
+    if fp.check_consensus(g, 1).holds:
+        assert fp.check_completeness(g).holds
 
 
 # -- state-count table --------------------------------------------------------
@@ -399,6 +395,9 @@ def test_trace_unreachable_target_raises() -> None:
     for target, cap in (
         (fp.Configuration.from_pairs({fin: 6}), 1),
         (fp.Configuration.from_pairs({fin: 6, p.num_states: 1}), 1),
+        (fp.Configuration(((-1, 7),), 7), 1),  # -1 would index the last state
+        (fp.Configuration(((p.q_init, -1), (fin, 8)), 7), 1),
+        (fp.Configuration(((fin, 300),), 7), 1),  # counts that do not sum to n
         (fp.Configuration.from_pairs({fin: 7}), 0),
     ):
         with pytest.raises(ValueError):
