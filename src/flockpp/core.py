@@ -186,6 +186,13 @@ class Protocol:
                         rows.append((x, y, c, d))
         return np.array(rows, dtype=np.intp).reshape(-1, 4)
 
+    @cached_property
+    def _rule_pairs(self) -> tuple[Pair, ...]:
+        """The unordered state pairs ``(a, b)``, ``a <= b``, of the rows of
+        :attr:`_rules` in increasing order: a rule is enabled in either
+        order of its pair."""
+        return tuple(sorted({(min(ab), max(ab)) for ab in self._rules[:, :2].tolist()}))
+
 
 @dataclass(frozen=True, slots=True)
 class Configuration:

@@ -16,7 +16,8 @@ protocol these values are constrained:
 
 :func:`occurrence_thresholds` computes the exact values by sweeping
 population sizes; :func:`occurrence_upper_bounds` computes the additive
-fixpoint bound independently, and the sweep cross-checks itself against it.
+fixpoint bound independently, the sweep's first search covers the sizes up
+to its largest value, and the sweep cross-checks itself against it.
 """
 
 from __future__ import annotations
@@ -81,7 +82,8 @@ def occurrence_upper_bounds(p: Protocol) -> dict[int, int]:
     since disjoint witness populations can be combined and the two witness
     agents made to meet.  States never reached by the fixpoint are omitted.
     The true threshold can be smaller — one agent may serve both roles — so
-    this is only an upper bound, useful as an independent cross-check.
+    this is only an upper bound, useful as an independent cross-check and
+    to size the sweep's first search.
     """
     bound: dict[int, int] = {p.q_init: 1}
     changed = True
@@ -103,21 +105,24 @@ def occurrence_upper_bounds(p: Protocol) -> dict[int, int]:
 
 
 def _occurrence_by_size(
-    p: Protocol, n_max: int, node_cap: int
+    p: Protocol, n_max: int, node_cap: int, bounds: dict[int, int]
 ) -> tuple[np.ndarray, np.ndarray]:
     """The least size in 1..n_max at which each state occurs.
 
     Returns ``least`` (uint16 per state, ``n_max + 1`` where none was seen)
     and ``capped`` (bool per size: more than ``node_cap`` nodes reachable).
-    No edges are stored.  The sizes are searched in waves 1, 2, 3-4, 5-8,
-    ..., one breadth-first search per wave from the roots ``I_s`` of its
-    sizes, and a sweep over increasing sizes stops early, so the searches
-    cover at most twice the sizes it reads.  A size stops being searched
-    once it is capped or lies above a capped size, and so does every size
-    above the first size by which every state has occurred: the sweep never
-    reads them.  Entries of ``least`` below the first capped size are
-    exact.  Each level adds one transient of 2 bytes per (frontier row,
-    state): the row's uint16 size where the state occurs.
+    No edges are stored.  The sizes are searched in waves, one
+    breadth-first search per wave from the roots ``I_s`` of its sizes: the
+    first wave covers 1..B, where B is the largest of the additive
+    ``bounds`` (:func:`occurrence_upper_bounds`), and each later wave
+    doubles the sizes covered so far.  A size stops being searched once it
+    is capped or lies above a capped size, and so does every size above
+    the first size by which every state has occurred: the sweep never reads
+    them.  So the wave schedule decides only which sizes share a search,
+    not what is found, and the searches cover at most max(twice the sizes
+    the sweep reads, B) sizes.  Entries of ``least`` below the first capped
+    size are exact.  Each level adds one transient of 2 bytes per
+    (frontier row, state): the row's uint16 size where the state occurs.
     """
     least = np.full(p.num_states, n_max + 1, dtype=np.uint16)
     least[p.q_init] = 1
@@ -127,7 +132,7 @@ def _occurrence_by_size(
     stop = n_max + 1  # the sweep reads no size from here on
     while hi < n_max and stop > hi + 1:
         # A wave holds no size from the stop on.
-        lo, hi = hi + 1, min(2 * hi, n_max, stop - 1) if hi else 1
+        lo, hi = hi + 1, min(2 * hi if hi else max(bounds.values()), n_max, stop - 1)
         size = np.arange(lo, hi + 1, dtype=np.uint16)
         search = _LevelSearch(p, hi, size, edges=False)
         nodes[size] = 1
@@ -155,16 +160,20 @@ def occurrence_thresholds(
 ) -> OccurrenceMap:
     """Exact occurrence thresholds by sweeping ``n = 1 .. n_cap``.
 
-    Occurrence is monotone in ``n`` (a larger population can park its extra
-    agents in the initial state and replay any smaller population's run, and
-    every protocol here leaves ``(q, q_init)`` encounters available), so the
-    first ``n`` whose reachable set contains ``q`` is exact.  The sizes are
-    explored in a few batches, each one breadth-first search that stores no
-    edges, and the result is what a sweep over increasing sizes reads: it
-    stops early once every state has occurred, and if some size exceeds
-    the node cap it stops there and the remaining states are reported
-    unknown beyond the last completed size; it stops the same way at the
-    population limit :data:`~flockpp.core.MAX_POPULATION`.
+    Occurrence is monotone in ``n`` for every protocol: a larger population
+    leaves its extra agents idle in the initial state and replays any
+    smaller population's run, which needs no ``(q, q_init)`` encounter, so
+    the first ``n`` whose reachable set contains ``q`` is exact.  The sizes
+    are explored in a few batches, each one breadth-first search that
+    stores no edges: the first covers sizes up to the largest additive
+    bound (:func:`occurrence_upper_bounds`), which every construction here
+    keeps within ``2 * d``, while its largest threshold is ``d``, so a
+    sweep that runs until every state has occurred still covers at most
+    twice the sizes it reads.  The result is what a sweep over increasing
+    sizes reads: it stops early once every state has occurred, and if some
+    size exceeds the node cap it stops there and the remaining states are
+    reported unknown beyond the last completed size; it stops the same way
+    at the population limit :data:`~flockpp.core.MAX_POPULATION`.
     """
     n_cap, node_cap = operator.index(n_cap), operator.index(node_cap)
     if n_cap < 1:
@@ -172,7 +181,8 @@ def occurrence_thresholds(
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
     n_max = min(n_cap, MAX_POPULATION)
-    least, capped = _occurrence_by_size(p, n_max, node_cap)
+    fixpoint = occurrence_upper_bounds(p)
+    least, capped = _occurrence_by_size(p, n_max, node_cap, fixpoint)
     stop = int(capped.argmax()) or n_max + 1  # the first capped size; size 0 never is
     values = {q: v for v, q in sorted(zip(least.tolist(), range(p.num_states))) if v < stop}
     cap_error: str | None = None
@@ -184,7 +194,6 @@ def occurrence_thresholds(
         done = n_max
         if n_max < n_cap:
             cap_error = f"population limit n={MAX_POPULATION} reached with states unknown"
-    fixpoint = occurrence_upper_bounds(p)
     for q, v in values.items():
         ub = fixpoint.get(q)
         if ub is not None and v > ub:

@@ -17,6 +17,7 @@ gives the same trajectory as those three calls would.
 
 from __future__ import annotations
 
+import operator
 from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import accumulate
@@ -73,6 +74,7 @@ def run(p: Protocol, n: int, seed: int, max_steps: int = 1_000_000) -> SimReport
     docstring.
     """
     n = _check_population(n)
+    max_steps = operator.index(max_steps)
     if max_steps < 1:
         raise ValueError("max_steps must be >= 1")
     rng = Random(seed)
@@ -90,11 +92,8 @@ def run(p: Protocol, n: int, seed: int, max_steps: int = 1_000_000) -> SimReport
             return 0
         return None
 
-    # A rule is enabled in either order of its pair.
-    pairs = sorted({(min(ab), max(ab)) for ab in p._rules[:, :2].tolist()})
-
     def absorbing() -> bool:
-        for a, b in pairs:
+        for a, b in p._rule_pairs:
             if a == b:
                 if counts[a] >= 2:
                     return False

@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import csv
 import io
+import operator
 import time
 from collections.abc import Callable
 from dataclasses import astuple, dataclass, field, fields
@@ -194,6 +195,7 @@ def verify_range(
     built per ``n`` and shared by the checks.  A :class:`CapExceeded` for
     some ``n`` is recorded in that report and the sweep continues.
     """
+    d = operator.index(d)
     if n_lo < 1 or n_hi < n_lo:
         raise ValueError(f"bad population range [{n_lo}, {n_hi}]")
     reports: list[VerificationReport] = []

@@ -131,6 +131,13 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         "while hi < n_max and stop > hi + 1:",
         "while hi < n_max - 1 and stop > hi + 1:",
     ),
+    ("sweep's first wave is size 1 alone", LOWERBOUND, "2 * hi if hi else max(bounds.values())", "2 * hi if hi else 1"),
+    (
+        "sweep's first wave stops one size short of the largest additive bound",
+        LOWERBOUND,
+        "2 * hi if hi else max(bounds.values())",
+        "2 * hi if hi else max(max(bounds.values()) - 1, 1)",
+    ),
 ]
 
 #: A mutated run this many times slower than the unmutated one is stopped

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given, strategies as st
 
 import flockpp as fp
+from flockpp import lowerbound
 from oracle import occurrence_by_sizes, occurrence_by_sweep
 from test_core import nontrivial_protocols, small_protocols, wide_protocols
 
@@ -90,6 +91,44 @@ LATE_STATE = fp.make_protocol(
 )
 
 
+def _loose_chain(*dead: str) -> fp.Protocol:
+    """S0..S5 with ``(S_i, S_i) -> (S_{i+1}, S_i)``: S_i first occurs at
+    i + 1, but its additive bound is 2**i, so B is 32.  Each of ``dead`` is
+    a state that no rule makes."""
+    chain = [f"S{i}" for i in range(6)]
+    rules = {(a, a): [(b, a)] for a, b in zip(chain, chain[1:])}
+    return fp.make_protocol("loose chain", chain + list(dead), "S0", ["S5"], rules)
+
+
+#: Sizes 1..8 of the chain reach 1, 2, 4, 8, 16, 32, 63 and 120 nodes, and
+#: its sweep stops at 7 once S5 has occurred at 6.
+LOOSE_CHAIN = _loose_chain()
+DEAD_CHAIN = _loose_chain("Z")
+
+
+@pytest.mark.parametrize("p,n_cap,waves", [
+    # Waves from size 1 would run seven searches here: 1, 2, 3-4, ..., 33-49.
+    (fp.build_protocol_b(47), 49, [(1, 49)]),
+    (LOOSE_CHAIN, 40, [(1, 32)]),
+    # Z never occurs, so the sweep reads every size and doubles past B.
+    (DEAD_CHAIN, 40, [(1, 32), (33, 40)]),
+], ids=["b(47)", "chain", "dead chain"])
+def test_first_sweep_search_covers_sizes_up_to_the_additive_bound(
+    monkeypatch, p: fp.Protocol, n_cap: int, waves: list[tuple[int, int]]
+) -> None:
+    built: list[tuple[int, int]] = []
+    search = lowerbound._LevelSearch
+
+    def recording(q, n_max, sizes, *args, **kwargs):
+        assert list(sizes) == list(range(sizes[0], sizes[-1] + 1))
+        built.append((int(sizes[0]), int(sizes[-1])))
+        return search(q, n_max, sizes, *args, **kwargs)
+
+    monkeypatch.setattr(lowerbound, "_LevelSearch", recording)
+    fp.occurrence_thresholds(p, n_cap)
+    assert built == waves
+
+
 @given(
     st.one_of(small_protocols(), nontrivial_protocols(), wide_protocols()),
     st.integers(1, 50),
@@ -97,6 +136,11 @@ LATE_STATE = fp.make_protocol(
 )
 @example(LATE_STATE, 2, 4)
 @example(LATE_STATE, 3, 4)
+# Caps of sizes 7 (the stop) and 8 (above it) inside the first wave, 1..32,
+# which the sweep must not report; without a stop, size 8 is where it ends.
+@example(LOOSE_CHAIN, 32, 40)
+@example(LOOSE_CHAIN, 100, 40)
+@example(DEAD_CHAIN, 100, 40)
 def test_occurrence_thresholds_match_a_naive_sweep(p: fp.Protocol, node_cap: int, n_cap: int) -> None:
     # Node caps of 1-50 stop the sweep at some size on most protocols, and
     # n_cap above the population limit makes it stop there on the rest.

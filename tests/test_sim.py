@@ -125,11 +125,16 @@ def test_run_rejects_bad_arguments() -> None:
         fp.run(p, 3, seed=1, max_steps=0)
     with pytest.raises(TypeError):
         fp.run(p, 7.5, seed=1)
+    with pytest.raises(TypeError):
+        fp.run(p, 9, seed=1, max_steps=1e3)
 
 
 def test_run_from_a_numpy_integer_size() -> None:
     p = fp.build_protocol_b(7)
-    assert fp.run(p, np.int64(9), seed=3, max_steps=5000) == fp.run(p, 9, seed=3, max_steps=5000)
+    want = fp.run(p, 9, seed=3, max_steps=5000)
+    got = fp.run(p, np.int64(9), seed=3, max_steps=np.int64(5000))
+    assert (type(got.max_steps), type(got.steps_taken)) == (int, int)
+    assert got == want
 
 
 # -- the seeded trajectory contract -------------------------------------------

@@ -4,7 +4,9 @@ from __future__ import annotations
 
 import random
 import weakref
+from dataclasses import replace
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -69,6 +71,16 @@ def test_verify_range_rejects_bad_range() -> None:
         fp.verify_range(p, 7, 0, 3)
     with pytest.raises(ValueError):
         fp.verify_range(p, 7, 5, 4)
+    with pytest.raises(TypeError):
+        fp.verify_range(p, 7.5, 7, 8)
+
+
+def test_verify_range_from_a_numpy_integer_threshold() -> None:
+    p = fp.build_protocol_b(7)
+    want = fp.verify_range(p, 7, 5, 8)
+    got = fp.verify_range(p, np.int64(7), 5, 8)
+    assert [type(r.d) for r in got] == [int] * 4
+    assert [replace(r, elapsed=0.0) for r in got] == [replace(r, elapsed=0.0) for r in want]
 
 
 def test_verify_range_continues_past_cap() -> None:
