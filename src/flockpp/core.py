@@ -21,10 +21,13 @@ import operator
 from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse import csgraph
+
+if TYPE_CHECKING:
+    from scipy import sparse
+    from scipy.sparse import csgraph
 
 __all__ = [
     "DEFAULT_NODE_CAP",
@@ -326,6 +329,31 @@ def successors(p: Protocol, c: Configuration) -> set[Configuration]:
 _EDGE_CHUNK = 8_000_000
 
 
+def _bind_scipy() -> None:
+    """Bind scipy's ``sparse`` and ``csgraph`` as globals of this module.
+
+    Only a graph's SCCs and closure read them, so ``import flockpp`` and the
+    work that builds no graph never import scipy.  A name already bound is
+    kept: code outside may have put its own object in its place.
+    """
+    g = globals()
+    if "sparse" not in g or "csgraph" not in g:
+        from scipy import sparse
+        from scipy.sparse import csgraph
+
+        g.setdefault("sparse", sparse)
+        g.setdefault("csgraph", csgraph)
+
+
+def __getattr__(name: str):
+    # ``core.sparse`` and ``core.csgraph`` resolve from outside (PEP 562)
+    # before the first graph has bound them.
+    if name in ("sparse", "csgraph"):
+        _bind_scipy()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 class ReachGraph:
     """The multiset reachability graph of a protocol at population size n.
 
@@ -377,6 +405,7 @@ class ReachGraph:
     def _csr(self) -> sparse.csr_matrix:
         """The edges as a bool matrix, the operand of the closure's
         products: with a bool frontier scipy casts nothing per product."""
+        _bind_scipy()
         n = len(self)
         data = np.ones(self.targets.shape[0], dtype=bool)
         return sparse.csr_matrix((data, self.targets, self.indptr), shape=(n, n))
@@ -388,6 +417,7 @@ class ReachGraph:
         scipy reads only the structure but casts the data to float64, so the
         data is a zero-stride float64 view that the cast does not copy.
         """
+        _bind_scipy()
         n = len(self)
         ones = np.broadcast_to(np.float64(1.0), self.targets.shape)
         edges = sparse.csr_matrix((ones, self.targets, self.indptr), shape=(n, n))

@@ -85,7 +85,12 @@ def occurrence_upper_bounds(p: Protocol) -> dict[int, int]:
     this is only an upper bound, useful as an independent cross-check and
     to size the sweep's first search.
     """
-    bound: dict[int, int] = {p.q_init: 1}
+    return _additive_fixpoint(p, {p.q_init: 1})
+
+
+def _additive_fixpoint(p: Protocol, bound: dict[int, int]) -> dict[int, int]:
+    """Lower the upper bounds ``bound`` on occurrence thresholds, in place,
+    until no encounter improves one, and return them."""
     changed = True
     while changed:
         changed = False
@@ -118,9 +123,13 @@ def _occurrence_by_size(
     doubles the sizes covered so far.  A size stops being searched once it
     is capped or lies above a capped size, and so does every size above
     the first size by which every state has occurred: the sweep never reads
-    them.  So the wave schedule decides only which sizes share a search,
-    not what is found, and the searches cover at most max(twice the sizes
-    the sweep reads, B) sizes.  Entries of ``least`` below the first capped
+    them.  Nor does it read a size above the additive fixpoint seeded with
+    the least sizes found so far, which bounds every threshold once it
+    covers every state; it is rerun whenever a state first occurs, so a
+    loose B costs a few levels of the first search, not the whole of it.
+    So the wave schedule decides only which sizes share a search, not what
+    is found, and the searches cover at most max(twice the sizes the sweep
+    reads, B) sizes.  Entries of ``least`` below the first capped
     size are exact.  Each level adds one transient of 2 bytes per
     (frontier row, state): the row's uint16 size where the state occurs.
     """
@@ -130,6 +139,9 @@ def _occurrence_by_size(
     capped = np.zeros(n_max + 1, dtype=bool)
     hi = 0
     stop = n_max + 1  # the sweep reads no size from here on
+    # A state outside the fixpoint never occurs, and the sweep then reads
+    # every size, so only a fixpoint over every state can move the stop.
+    occurred = 1 if len(bounds) == p.num_states else p.num_states
     while hi < n_max and stop > hi + 1:
         # A wave holds no size from the stop on.
         lo, hi = hi + 1, min(2 * hi if hi else max(bounds.values()), n_max, stop - 1)
@@ -146,7 +158,14 @@ def _occurrence_by_size(
             first_capped = int(capped.argmax()) if capped.any() else n_max + 1
             # New rows descend from rows below the stop, so rows need
             # pruning only when the stop moves down.
-            new_stop = min(first_capped, int(least.max()) + 1)
+            found = least.tolist()  # a few states: lists beat numpy calls here
+            new_stop = min(first_capped, max(found) + 1)
+            if occurred < len(found) - found.count(n_max + 1):
+                # A least size bounds its state's threshold, so the additive
+                # fixpoint seeded with them bounds every threshold.
+                seeds = {q: v for q, v in enumerate(found) if v <= n_max}
+                occurred = len(seeds)
+                new_stop = min(new_stop, max(_additive_fixpoint(p, seeds).values()) + 1)
             if new_stop < stop:
                 stop = new_stop
                 keep = size < stop

@@ -32,6 +32,7 @@ import numpy as np
 
 from .core import (
     DEFAULT_NODE_CAP,
+    MAX_POPULATION,
     CapExceeded,
     Configuration,
     Protocol,
@@ -193,11 +194,14 @@ def verify_range(
     Below the threshold: soundness and consensus on output 0.  At or above
     it: completeness and consensus on output 1.  One reachability graph is
     built per ``n`` and shared by the checks.  A :class:`CapExceeded` for
-    some ``n`` is recorded in that report and the sweep continues.
+    some ``n`` is recorded in that report and the sweep continues.  A range
+    outside ``1 .. MAX_POPULATION`` raises ``ValueError`` before any search.
     """
-    d = operator.index(d)
-    if n_lo < 1 or n_hi < n_lo:
-        raise ValueError(f"bad population range [{n_lo}, {n_hi}]")
+    d, n_lo, n_hi = operator.index(d), operator.index(n_lo), operator.index(n_hi)
+    if not 1 <= n_lo <= n_hi <= MAX_POPULATION:
+        raise ValueError(
+            f"bad population range [{n_lo}, {n_hi}]: sizes lie in [1, {MAX_POPULATION}]"
+        )
     reports: list[VerificationReport] = []
     for n in range(n_lo, n_hi + 1):
         t0 = time.perf_counter()

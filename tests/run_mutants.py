@@ -138,6 +138,30 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         "2 * hi if hi else max(bounds.values())",
         "2 * hi if hi else max(max(bounds.values()) - 1, 1)",
     ),
+    (
+        "sweep's seeded fixpoint stops one size short",
+        LOWERBOUND,
+        "max(_additive_fixpoint(p, seeds).values()) + 1",
+        "max(_additive_fixpoint(p, seeds).values())",
+    ),
+    (
+        "verify_range searches past the population limit",
+        VERIFY,
+        "1 <= n_lo <= n_hi <= MAX_POPULATION",
+        "1 <= n_lo <= n_hi",
+    ),
+    (
+        "core imports scipy eagerly",
+        CORE,
+        "import numpy as np\n\nif TYPE_CHECKING:",
+        "import numpy as np\nfrom scipy import sparse\nfrom scipy.sparse import csgraph\n\nif TYPE_CHECKING:",
+    ),
+    (
+        "the first SCC replaces the tracer's csgraph",
+        CORE,
+        'g.setdefault("csgraph", csgraph)',
+        'g["csgraph"] = csgraph',
+    ),
 ]
 
 #: A mutated run this many times slower than the unmutated one is stopped

@@ -95,6 +95,14 @@ def test_verify_node_cap_exit_3(capsys) -> None:
     assert report["bottom_sccs"] is None
 
 
+def test_verify_range_past_the_population_limit_exit_2(capsys) -> None:
+    args = ["verify", "--family", "b", "--d", "7", "--n-lo", "250", "--n-hi", "256"]
+    assert main(args) == 2
+    captured = capsys.readouterr()
+    assert not any(line.startswith("n=") for line in captured.out.splitlines())
+    assert json.loads(captured.err)["error"] == "ValueError"
+
+
 def test_verify_cap_error_says_how_far_it_got(capsys) -> None:
     args = ["verify", "--family", "b", "--d", "7", "--n-lo", "10", "--n-hi", "10"]
     assert main([*args, "--node-cap", "10"]) == 3

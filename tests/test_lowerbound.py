@@ -129,6 +129,43 @@ def test_first_sweep_search_covers_sizes_up_to_the_additive_bound(
     assert built == waves
 
 
+def _chain(k: int, spend: bool) -> fp.Protocol:
+    """S0..S(k-1), where two agents in S_i make one of them S_{i+1}.  The
+    other stays in S_i, so S_i first occurs at i + 1 against an additive
+    bound of 2**i; with ``spend`` it moves to the sink Z instead, and S_i
+    first occurs at exactly 2**i."""
+    chain = [f"S{i}" for i in range(k)]
+    rules = {(a, a): [(b, "Z" if spend else a)] for a, b in zip(chain, chain[1:])}
+    return fp.make_protocol("chain", chain + ["Z"] * spend, "S0", [chain[-1]], rules)
+
+
+@pytest.mark.parametrize("p,values", [
+    (_chain(10, spend=False), {f"S{i}": i + 1 for i in range(10)}),
+    (_chain(6, spend=True), {**{f"S{i}": 2**i for i in range(6)}, "Z": 2}),
+], ids=["loose", "tight"])
+def test_sweep_stops_at_the_fixpoint_of_the_least_sizes_found(
+    monkeypatch, p: fp.Protocol, values: dict[str, int]
+) -> None:
+    # The loose chain's B is 512.  Once S_j has occurred at j + 1, the
+    # fixpoint seeded with the least sizes found bounds S9 by
+    # 2**(9 - j) * (j + 1), and the sweep stops searching the sizes above
+    # it: it finds 172,350 nodes, while searching every size below 256
+    # until S9 occurs finds 4,002,186.  The tight chain's bounds are exact,
+    # so a stop one size lower would never search S5 at 32.
+    found: list[int] = []
+
+    class Counting(lowerbound._LevelSearch):
+        def expand(self):
+            level = super().expand()
+            found.append(len(level[0]))  # one parent row per new node
+            return level
+
+    monkeypatch.setattr(lowerbound, "_LevelSearch", Counting)
+    om = fp.occurrence_thresholds(p, fp.MAX_POPULATION)
+    assert (om.by_name(), om.n_cap, om.cap_error) == (values, fp.MAX_POPULATION, None)
+    assert sum(found) < 400_000
+
+
 @given(
     st.one_of(small_protocols(), nontrivial_protocols(), wide_protocols()),
     st.integers(1, 50),

@@ -73,6 +73,18 @@ def test_verify_range_rejects_bad_range() -> None:
         fp.verify_range(p, 7, 5, 4)
     with pytest.raises(TypeError):
         fp.verify_range(p, 7.5, 7, 8)
+    with pytest.raises(TypeError):
+        fp.verify_range(p, 7, 7.0, 8)
+    with pytest.raises(TypeError):
+        fp.verify_range(p, 7, 7, 8.0)
+
+
+def test_verify_range_past_the_population_limit_fails_before_searching(monkeypatch) -> None:
+    # Sizes 250..255 would take about 30 s to search and their reports would
+    # be lost to the error at 256, so the range is checked first.
+    monkeypatch.setattr(verify, "reach", lambda *args, **kwargs: pytest.fail("searched"))
+    with pytest.raises(ValueError, match=r"\[250, 256\]"):
+        fp.verify_range(fp.build_protocol_b(7), 7, 250, 256)
 
 
 def test_verify_range_from_a_numpy_integer_threshold() -> None:
