@@ -151,6 +151,11 @@ def _run_verify_reports(
     return EXIT_OK
 
 
+def _n_hi(args: argparse.Namespace) -> int:
+    """``--n-hi``, by default d + 3 capped at the population limit."""
+    return args.n_hi if args.n_hi is not None else min(args.d + 3, core.MAX_POPULATION)
+
+
 def _cmd_gen(args: argparse.Namespace) -> int:
     p = protocols.build_family(args.family, args.d)
     _write_out(core.protocol_to_json(p), args.out)
@@ -159,9 +164,8 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     p = protocols.build_family(args.family, args.d)
-    n_hi = args.n_hi if args.n_hi is not None else args.d + 3
     return _run_verify_reports(
-        p, args.d, args.n_lo, n_hi, args.node_cap, args.trace, args.json
+        p, args.d, args.n_lo, _n_hi(args), args.node_cap, args.trace, args.json
     )
 
 
@@ -237,10 +241,11 @@ def _cmd_check_file(args: argparse.Namespace) -> int:
         _emit_error("io", str(exc))
         return EXIT_USAGE
     p = core.protocol_from_json(text)
-    n_hi = args.n_hi if args.n_hi is not None else args.d + 3
     bound = lowerbound.check_state_lower_bound(p, args.d)
     print(f"state lower bound 2^(|Q|-1) >= d: {_show_verdict(bound, p)}")
-    code = _run_verify_reports(p, args.d, args.n_lo, n_hi, args.node_cap, args.trace, args.json)
+    code = _run_verify_reports(
+        p, args.d, args.n_lo, _n_hi(args), args.node_cap, args.trace, args.json
+    )
     if bound.failed and code == EXIT_OK:
         return EXIT_CHECK_FAILED
     return code
@@ -275,7 +280,9 @@ def _build_parser(node_cap_default: int) -> argparse.ArgumentParser:
     sp = sub.add_parser("verify", help="exhaustively verify over a population range")
     add_family(sp)
     sp.add_argument("--n-lo", type=int, default=1, help="smallest population size (default 1)")
-    sp.add_argument("--n-hi", type=int, default=None, help="largest population size (default d+3)")
+    sp.add_argument(
+        "--n-hi", type=int, default=None, help="largest population size (default d+3, at most 255)"
+    )
     add_cap(sp)
     sp.add_argument("--trace", action="store_true", help="print encounter traces for failures")
     sp.add_argument("--json", default=None, help="also write a JSON report to this path ('-' = stdout)")

@@ -16,8 +16,7 @@ protocol these values are constrained:
 
 :func:`occurrence_thresholds` computes the exact values by sweeping
 population sizes; :func:`occurrence_upper_bounds` computes the additive
-fixpoint bound independently, the sweep's first search covers the sizes up
-to its largest value, and the sweep cross-checks itself against it.
+fixpoint bound independently, and the sweep cross-checks itself against it.
 """
 
 from __future__ import annotations
@@ -109,71 +108,6 @@ def _additive_fixpoint(p: Protocol, bound: dict[int, int]) -> dict[int, int]:
     return bound
 
 
-def _occurrence_by_size(
-    p: Protocol, n_max: int, node_cap: int, bounds: dict[int, int]
-) -> tuple[np.ndarray, np.ndarray]:
-    """The least size in 1..n_max at which each state occurs.
-
-    Returns ``least`` (uint16 per state, ``n_max + 1`` where none was seen)
-    and ``capped`` (bool per size: more than ``node_cap`` nodes reachable).
-    No edges are stored.  The sizes are searched in waves, one
-    breadth-first search per wave from the roots ``I_s`` of its sizes: the
-    first wave covers 1..B, where B is the largest of the additive
-    ``bounds`` (:func:`occurrence_upper_bounds`), and each later wave
-    doubles the sizes covered so far.  A size stops being searched once it
-    is capped or lies above a capped size, and so does every size above
-    the first size by which every state has occurred: the sweep never reads
-    them.  Nor does it read a size above the additive fixpoint seeded with
-    the least sizes found so far, which bounds every threshold once it
-    covers every state; it is rerun whenever a state first occurs, so a
-    loose B costs a few levels of the first search, not the whole of it.
-    So the wave schedule decides only which sizes share a search, not what
-    is found, and the searches cover at most max(twice the sizes the sweep
-    reads, B) sizes.  Entries of ``least`` below the first capped
-    size are exact.  Each level adds one transient of 2 bytes per
-    (frontier row, state): the row's uint16 size where the state occurs.
-    """
-    least = np.full(p.num_states, n_max + 1, dtype=np.uint16)
-    least[p.q_init] = 1
-    nodes = np.zeros(n_max + 1, dtype=np.int64)
-    capped = np.zeros(n_max + 1, dtype=bool)
-    hi = 0
-    stop = n_max + 1  # the sweep reads no size from here on
-    # A state outside the fixpoint never occurs, and the sweep then reads
-    # every size, so only a fixpoint over every state can move the stop.
-    occurred = 1 if len(bounds) == p.num_states else p.num_states
-    while hi < n_max and stop > hi + 1:
-        # A wave holds no size from the stop on.
-        lo, hi = hi + 1, min(2 * hi if hi else max(bounds.values()), n_max, stop - 1)
-        size = np.arange(lo, hi + 1, dtype=np.uint16)
-        search = _LevelSearch(p, hi, size, edges=False)
-        nodes[size] = 1
-        while len(size):
-            new_from, _ = search.expand()
-            size = size.take(new_from)
-            nodes += np.bincount(size, minlength=n_max + 1)
-            capped |= nodes > node_cap
-            seen = np.where(search.cnt, size[:, None], n_max + 1).min(axis=0, initial=n_max + 1)
-            np.minimum(least, seen, out=least)
-            first_capped = int(capped.argmax()) if capped.any() else n_max + 1
-            # New rows descend from rows below the stop, so rows need
-            # pruning only when the stop moves down.
-            found = least.tolist()  # a few states: lists beat numpy calls here
-            new_stop = min(first_capped, max(found) + 1)
-            if occurred < len(found) - found.count(n_max + 1):
-                # A least size bounds its state's threshold, so the additive
-                # fixpoint seeded with them bounds every threshold.
-                seeds = {q: v for q, v in enumerate(found) if v <= n_max}
-                occurred = len(seeds)
-                new_stop = min(new_stop, max(_additive_fixpoint(p, seeds).values()) + 1)
-            if new_stop < stop:
-                stop = new_stop
-                keep = size < stop
-                search.prune(keep)
-                size = size[keep]
-    return least, capped
-
-
 def occurrence_thresholds(
     p: Protocol, n_cap: int, node_cap: int = DEFAULT_NODE_CAP
 ) -> OccurrenceMap:
@@ -182,17 +116,29 @@ def occurrence_thresholds(
     Occurrence is monotone in ``n`` for every protocol: a larger population
     leaves its extra agents idle in the initial state and replays any
     smaller population's run, which needs no ``(q, q_init)`` encounter, so
-    the first ``n`` whose reachable set contains ``q`` is exact.  The sizes
-    are explored in a few batches, each one breadth-first search that
-    stores no edges: the first covers sizes up to the largest additive
-    bound (:func:`occurrence_upper_bounds`), which every construction here
-    keeps within ``2 * d``, while its largest threshold is ``d``, so a
-    sweep that runs until every state has occurred still covers at most
-    twice the sizes it reads.  The result is what a sweep over increasing
-    sizes reads: it stops early once every state has occurred, and if some
-    size exceeds the node cap it stops there and the remaining states are
-    reported unknown beyond the last completed size; it stops the same way
-    at the population limit :data:`~flockpp.core.MAX_POPULATION`.
+    the first ``n`` whose reachable set contains ``q`` is exact.
+
+    The sizes are searched in waves, each one breadth-first search from the
+    roots ``I_n`` of its sizes that stores no edges and keeps the least size
+    at which each state has occurred.  The first wave covers 1..B, where B
+    is the largest additive bound (:func:`occurrence_upper_bounds`), and
+    each later wave doubles the sizes covered so far.  The sweep reads the
+    sizes below one stop, and rows of sizes from the stop on are pruned, so
+    the schedule decides only which sizes share a search, not what is
+    found.  Two facts lower the stop: the first size whose reachable set
+    passes ``node_cap``, and, when the additive fixpoint covers every state,
+    one above the fixpoint rerun from the least sizes found so far, which
+    bound their states' thresholds; it is rerun whenever a state first
+    occurs, so a loose B costs a few levels of the first search.  Without
+    that cover some state never occurs, and the sweep reads every size up
+    to ``n_cap`` or the population limit
+    :data:`~flockpp.core.MAX_POPULATION`, short of a capped size.
+
+    States first seen below the stop get their values; the rest are
+    reported unknown.  If some are, a stop at a capped size ends the result
+    at the last completed size with the cap message, and so does the
+    population limit.  Each level holds one transient of 2 bytes per
+    (frontier row, state): the row's uint16 size where the state occurs.
     """
     n_cap, node_cap = operator.index(n_cap), operator.index(node_cap)
     if n_cap < 1:
@@ -201,8 +147,40 @@ def occurrence_thresholds(
         raise ValueError("node_cap must be >= 1")
     n_max = min(n_cap, MAX_POPULATION)
     fixpoint = occurrence_upper_bounds(p)
-    least, capped = _occurrence_by_size(p, n_max, node_cap, fixpoint)
-    stop = int(capped.argmax()) or n_max + 1  # the first capped size; size 0 never is
+    full = len(fixpoint) == p.num_states
+    least = np.full(p.num_states, n_max + 1, dtype=np.uint16)
+    least[p.q_init] = 1
+    occurred = 1
+    nodes = np.zeros(n_max + 1, dtype=np.int64)
+    hi = 0
+    stop = n_max + 1  # the sweep reads no size from here on
+    while stop > hi + 1:
+        # A wave holds no size from the stop on.
+        lo, hi = hi + 1, min(2 * hi if hi else max(fixpoint.values()), stop - 1)
+        size = np.arange(lo, hi + 1, dtype=np.uint16)
+        search = _LevelSearch(p, hi, size, edges=False)
+        nodes[size] = 1
+        while len(size):
+            new_from, _ = search.expand()
+            size = size.take(new_from)
+            nodes += np.bincount(size, minlength=n_max + 1)
+            seen = np.where(search.cnt, size[:, None], n_max + 1).min(axis=0, initial=n_max + 1)
+            np.minimum(least, seen, out=least)
+            # The first size over the cap, if any: counts only grow, and
+            # size 0 has no nodes, so an argmax of 0 means none is over.
+            new_stop = min(stop, int((nodes > node_cap).argmax()) or stop)
+            found = least.tolist()  # a few states: lists beat numpy calls here
+            if full and occurred < len(found) - found.count(n_max + 1):
+                seeds = {q: v for q, v in enumerate(found) if v <= n_max}
+                occurred = len(seeds)
+                new_stop = min(new_stop, max(_additive_fixpoint(p, seeds).values()) + 1)
+            # New rows descend from rows below the stop, so rows need
+            # pruning only when the stop moves down.
+            if new_stop < stop:
+                stop = new_stop
+                keep = size < stop
+                search.prune(keep)
+                size = size[keep]
     values = {q: v for v, q in sorted(zip(least.tolist(), range(p.num_states))) if v < stop}
     cap_error: str | None = None
     if len(values) == p.num_states:

@@ -123,26 +123,32 @@ MUTANTS: list[tuple[str, str, str, str]] = [
         "first = np.minimum.reduceat(order, starts)",
         "first = order[starts]",
     ),
-    ("sweep node cap off by one", LOWERBOUND, "capped |= nodes > node_cap", "capped |= nodes >= node_cap"),
+    ("sweep node cap off by one", LOWERBOUND, "(nodes > node_cap)", "(nodes >= node_cap)"),
     ("sweep prunes the last size it reads", LOWERBOUND, "keep = size < stop", "keep = size < stop - 1"),
     (
         "sweep skips the last size after a wave that ends just below it",
         LOWERBOUND,
-        "while hi < n_max and stop > hi + 1:",
-        "while hi < n_max - 1 and stop > hi + 1:",
+        "while stop > hi + 1:",
+        "while stop > hi + 2:",
     ),
-    ("sweep's first wave is size 1 alone", LOWERBOUND, "2 * hi if hi else max(bounds.values())", "2 * hi if hi else 1"),
+    ("sweep's first wave is size 1 alone", LOWERBOUND, "2 * hi if hi else max(fixpoint.values())", "2 * hi if hi else 1"),
     (
         "sweep's first wave stops one size short of the largest additive bound",
         LOWERBOUND,
-        "2 * hi if hi else max(bounds.values())",
-        "2 * hi if hi else max(max(bounds.values()) - 1, 1)",
+        "2 * hi if hi else max(fixpoint.values())",
+        "2 * hi if hi else max(max(fixpoint.values()) - 1, 1)",
     ),
     (
         "sweep's seeded fixpoint stops one size short",
         LOWERBOUND,
         "max(_additive_fixpoint(p, seeds).values()) + 1",
         "max(_additive_fixpoint(p, seeds).values())",
+    ),
+    (
+        "sweep's seeded fixpoint stops without covering every state",
+        LOWERBOUND,
+        "if full and occurred <",
+        "if occurred <",
     ),
     (
         "verify_range searches past the population limit",

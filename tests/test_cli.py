@@ -103,6 +103,20 @@ def test_verify_range_past_the_population_limit_exit_2(capsys) -> None:
     assert json.loads(captured.err)["error"] == "ValueError"
 
 
+def test_default_n_hi_stops_at_the_population_limit(tmp_path, capsys) -> None:
+    # d + 3 = 256 lies past the limit; the default range ends at 255, and
+    # the one size left runs into the node cap.
+    args = ["--d", "253", "--n-lo", "255", "--node-cap", "10"]
+    assert main(["verify", "--family", "b", *args]) == 3
+    assert "verifying n in [255, 255]" in capsys.readouterr().out
+    path = tmp_path / "b253.json"
+    assert main(["gen", "--family", "b", "--d", "253", "--out", str(path)]) == 0
+    assert main(["check-file", str(path), *args]) == 3
+    out = capsys.readouterr().out
+    assert "verifying n in [255, 255]" in out
+    assert "n=255  CAP EXCEEDED" in out
+
+
 def test_verify_cap_error_says_how_far_it_got(capsys) -> None:
     args = ["verify", "--family", "b", "--d", "7", "--n-lo", "10", "--n-hi", "10"]
     assert main([*args, "--node-cap", "10"]) == 3
