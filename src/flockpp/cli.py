@@ -7,11 +7,13 @@ random run), ``check-file`` (validate and verify a protocol JSON file).
 
 Exit codes: 0 all checks hold, 1 some check failed, 2 usage or parse
 errors, 3 a reachability cap was exceeded.  Errors are also emitted as
-single-line JSON objects on stderr; a node-cap overrun's object also gives
-``nodes``, the configurations found, and ``levels``, the BFS depth the
-search reached.  The environment variable
-``FLOCKPP_NODE_CAP`` overrides the default reachability node cap; the
-``--node-cap`` flag overrides both.
+single-line JSON objects on stderr.  ``verify`` and ``check-file`` run one
+sweep with the same options and emit one object per population size over
+the node cap, which also gives ``nodes``, the configurations found, and
+``levels``, the BFS depth the search reached; ``fmap`` emits one object
+when its sweep stops at the node cap or the population limit.  The
+environment variable ``FLOCKPP_NODE_CAP`` overrides the default
+reachability node cap; the ``--node-cap`` flag overrides both.
 """
 
 from __future__ import annotations
@@ -105,15 +107,11 @@ def _print_trace(p: core.Protocol, n: int, steps: list[verify.TraceStep]) -> Non
         print(f"    ({a}, {b}) -> ({c}, {d})   giving  {s.after.pretty(p)}")
 
 
-def _run_verify_reports(
-    p: core.Protocol,
-    d: int,
-    n_lo: int,
-    n_hi: int,
-    node_cap: int,
-    trace: bool,
-    json_path: str | None,
-) -> int:
+def _run_verify_reports(p: core.Protocol, args: argparse.Namespace) -> int:
+    """The sweep of ``verify`` and ``check-file``: ``--n-hi`` defaults to
+    d + 3 capped at the population limit."""
+    n_hi = args.n_hi if args.n_hi is not None else min(args.d + 3, core.MAX_POPULATION)
+
     def show(rep: verify.VerificationReport) -> None:
         if rep.error is not None:
             print(f"n={rep.n:>3}  CAP EXCEEDED: {rep.error}")
@@ -124,20 +122,20 @@ def _run_verify_reports(
             f"sound={_show_verdict(rep.sound, p):<6} complete={_show_verdict(rep.complete, p):<6} "
             f"consensus={_show_verdict(rep.consensus, p)}"
         )
-        if trace:
+        if args.trace:
             for v in (rep.sound, rep.complete, rep.consensus):
                 if v.trace is not None:
                     _print_trace(p, rep.n, v.trace)
 
-    print(f"protocol {p.name}: {p.num_states} states, verifying n in [{n_lo}, {n_hi}]")
-    reports = verify.verify_range(p, d, n_lo, n_hi, node_cap=node_cap, progress=show)
-    if json_path is not None:
+    print(f"protocol {p.name}: {p.num_states} states, verifying n in [{args.n_lo}, {n_hi}]")
+    reports = verify.verify_range(p, args.d, args.n_lo, n_hi, node_cap=args.node_cap, progress=show)
+    if args.json is not None:
         _write_out(
             json.dumps(
-                {"protocol": p.name, "d": d, "reports": [_report_json(r, p) for r in reports]},
+                {"protocol": p.name, "d": args.d, "reports": [_report_json(r, p) for r in reports]},
                 indent=2,
             ),
-            json_path,
+            args.json,
         )
     failed = any(not r.all_hold and r.error is None for r in reports)
     capped = any(r.error is not None for r in reports)
@@ -151,11 +149,6 @@ def _run_verify_reports(
     return EXIT_OK
 
 
-def _n_hi(args: argparse.Namespace) -> int:
-    """``--n-hi``, by default d + 3 capped at the population limit."""
-    return args.n_hi if args.n_hi is not None else min(args.d + 3, core.MAX_POPULATION)
-
-
 def _cmd_gen(args: argparse.Namespace) -> int:
     p = protocols.build_family(args.family, args.d)
     _write_out(core.protocol_to_json(p), args.out)
@@ -164,9 +157,7 @@ def _cmd_gen(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     p = protocols.build_family(args.family, args.d)
-    return _run_verify_reports(
-        p, args.d, args.n_lo, _n_hi(args), args.node_cap, args.trace, args.json
-    )
+    return _run_verify_reports(p, args)
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
@@ -208,6 +199,7 @@ def _cmd_fmap(args: argparse.Namespace) -> int:
         return EXIT_CHECK_FAILED
     if om.cap_error is not None:
         print(f"CAP EXCEEDED: {om.cap_error}")
+        _emit_error("CapExceeded", om.cap_error)
         return EXIT_CAP
     return EXIT_OK
 
@@ -243,9 +235,7 @@ def _cmd_check_file(args: argparse.Namespace) -> int:
     p = core.protocol_from_json(text)
     bound = lowerbound.check_state_lower_bound(p, args.d)
     print(f"state lower bound 2^(|Q|-1) >= d: {_show_verdict(bound, p)}")
-    code = _run_verify_reports(
-        p, args.d, args.n_lo, _n_hi(args), args.node_cap, args.trace, args.json
-    )
+    code = _run_verify_reports(p, args)
     if bound.failed and code == EXIT_OK:
         return EXIT_CHECK_FAILED
     return code
@@ -272,6 +262,15 @@ def _build_parser(node_cap_default: int) -> argparse.ArgumentParser:
             help=f"max reachability nodes per population size (default {node_cap_default})",
         )
 
+    def add_sweep(sp: argparse.ArgumentParser) -> None:
+        sp.add_argument("--n-lo", type=int, default=1, help="smallest population size (default 1)")
+        sp.add_argument(
+            "--n-hi", type=int, default=None, help="largest population size (default d+3, at most 255)"
+        )
+        add_cap(sp)
+        sp.add_argument("--trace", action="store_true", help="print encounter traces for failures")
+        sp.add_argument("--json", default=None, help="also write a JSON report to this path ('-' = stdout)")
+
     sp = sub.add_parser("gen", help="emit a protocol as JSON")
     add_family(sp)
     sp.add_argument("--out", default=None, help="output path (default stdout)")
@@ -279,13 +278,7 @@ def _build_parser(node_cap_default: int) -> argparse.ArgumentParser:
 
     sp = sub.add_parser("verify", help="exhaustively verify over a population range")
     add_family(sp)
-    sp.add_argument("--n-lo", type=int, default=1, help="smallest population size (default 1)")
-    sp.add_argument(
-        "--n-hi", type=int, default=None, help="largest population size (default d+3, at most 255)"
-    )
-    add_cap(sp)
-    sp.add_argument("--trace", action="store_true", help="print encounter traces for failures")
-    sp.add_argument("--json", default=None, help="also write a JSON report to this path ('-' = stdout)")
+    add_sweep(sp)
     sp.set_defaults(fn=_cmd_verify)
 
     sp = sub.add_parser("table", help="emit the state-count table as CSV")
@@ -312,11 +305,7 @@ def _build_parser(node_cap_default: int) -> argparse.ArgumentParser:
     sp = sub.add_parser("check-file", help="validate and verify a protocol JSON file")
     sp.add_argument("path", help="protocol JSON file")
     sp.add_argument("--d", required=True, type=int, help="threshold the protocol is meant to decide")
-    sp.add_argument("--n-lo", type=int, default=1)
-    sp.add_argument("--n-hi", type=int, default=None)
-    add_cap(sp)
-    sp.add_argument("--trace", action="store_true", help="print encounter traces for failures")
-    sp.add_argument("--json", default=None, help="also write a JSON report to this path")
+    add_sweep(sp)
     sp.set_defaults(fn=_cmd_check_file)
 
     return ap
@@ -342,9 +331,6 @@ def main(argv: list[str] | None = None) -> int:
     except core.ProtocolError as exc:
         _emit_error("ProtocolError", str(exc))
         return EXIT_USAGE
-    except core.CapExceeded as exc:
-        _emit_error("CapExceeded", str(exc), nodes=exc.nodes, levels=exc.levels)
-        return EXIT_CAP
     except ValueError as exc:
         _emit_error("ValueError", str(exc))
         return EXIT_USAGE

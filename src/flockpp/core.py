@@ -685,7 +685,7 @@ def _levels(p: Protocol, n: int, node_cap: int, edges: bool) -> Iterator[tuple]:
     search from ``I_n`` and after each level, raising :class:`CapExceeded` at the first past the
     cap: the BFS tree so far as one int32 ``(parents, rules)`` pair per level, which
     :func:`_tree` joins, and the expand's other columns."""
-    n = _check_population(n)
+    n, node_cap = _check_population(n), operator.index(node_cap)
     if node_cap < 1:
         raise ValueError("node_cap must be >= 1")
     search = _LevelSearch(p, n, [n], edges)

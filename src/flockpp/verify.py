@@ -194,10 +194,13 @@ def verify_range(
     Below the threshold: soundness and consensus on output 0.  At or above
     it: completeness and consensus on output 1.  One reachability graph is
     built per ``n`` and shared by the checks.  A :class:`CapExceeded` for
-    some ``n`` is recorded in that report and the sweep continues.  A range
-    outside ``1 .. MAX_POPULATION`` raises ``ValueError`` before any search.
+    some ``n`` is recorded in that report and the sweep continues.  Before
+    any search, a threshold below 1 raises
+    :class:`~flockpp.protocols.InvalidThreshold`, a range outside
+    ``1 .. MAX_POPULATION`` or a ``node_cap`` below 1 raises ``ValueError``,
+    and a non-integer argument raises ``TypeError``.
     """
-    d, n_lo, n_hi = operator.index(d), operator.index(n_lo), operator.index(n_hi)
+    d, n_lo, n_hi = threshold_params(d).d, operator.index(n_lo), operator.index(n_hi)
     if not 1 <= n_lo <= n_hi <= MAX_POPULATION:
         raise ValueError(
             f"bad population range [{n_lo}, {n_hi}]: sizes lie in [1, {MAX_POPULATION}]"

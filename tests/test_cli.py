@@ -8,7 +8,7 @@ import pytest
 
 import flockpp as fp
 from flockpp import core
-from flockpp.cli import main
+from flockpp.cli import _build_parser, main
 from mutations import MUTATIONS, build_mutant
 
 
@@ -246,14 +246,22 @@ def test_fmap_json(capsys) -> None:
 
 def test_fmap_cap_exit_3(capsys) -> None:
     assert main(["fmap", "--family", "a", "--d", "7", "--node-cap", "3"]) == 3
+    om = fp.occurrence_thresholds(fp.build_protocol_a(7), 9, node_cap=3)
+    err = json.loads(capsys.readouterr().err)
+    assert err == {"error": "CapExceeded", "detail": om.cap_error}
+    assert "exceeds node cap 3" in err["detail"]
 
 
 def test_fmap_past_population_limit_exit_3(capsys) -> None:
     # COINS(0) never occurs in angluin(2), so the sweep runs to n = 255.
     assert main(["fmap", "--family", "angluin", "--d", "2", "--n-cap", "300"]) == 3
-    out = capsys.readouterr().out
-    assert "f(COINS(0)) = unknown (> 255)" in out
-    assert "CAP EXCEEDED" in out and "population limit n=255" in out
+    captured = capsys.readouterr()
+    assert "f(COINS(0)) = unknown (> 255)" in captured.out
+    assert "CAP EXCEEDED" in captured.out and "population limit n=255" in captured.out
+    assert json.loads(captured.err) == {
+        "error": "CapExceeded",
+        "detail": f"population limit n={fp.MAX_POPULATION} reached with states unknown",
+    }
 
 
 # -- sim -------------------------------------------------------------------------
@@ -324,6 +332,32 @@ def test_check_file_ill_typed_field_exit_2(tmp_path, capsys) -> None:
 
 def test_check_file_missing_file_exit_2(tmp_path, capsys) -> None:
     assert main(["check-file", str(tmp_path / "absent.json"), "--d", "7"]) == 2
+
+
+def _sweep_options(command: str) -> set[str]:
+    (sub,) = (a for a in _build_parser(1)._actions if a.dest == "command")
+    return {s for a in sub.choices[command]._actions for s in a.option_strings}
+
+
+@pytest.mark.parametrize("fam,d", [("b", 7), ("a", 5), ("best", 11)])
+def test_check_file_sweeps_as_verify_does(fam, d, tmp_path, capsys) -> None:
+    # One sweep path: a file written by gen gets verify's reports for every
+    # sweep option, and both commands list the same sweep options.
+    assert _sweep_options("verify") - {"--family"} == _sweep_options("check-file")
+    path = tmp_path / "p.json"
+    assert main(["gen", "--family", fam, "--d", str(d), "--out", str(path)]) == 0
+
+    def reports() -> list[dict]:
+        out = capsys.readouterr().out
+        reps = json.loads(out[out.index("{"): out.rindex("}") + 1])["reports"]
+        return [{k: v for k, v in r.items() if k != "elapsed_s"} for r in reps]
+
+    for extra in ([], ["--n-lo", "3", "--n-hi", "6"], ["--node-cap", "10"], ["--trace"]):
+        args = ["--d", str(d), *extra, "--json", "-"]
+        code = main(["verify", "--family", fam, *args])
+        want = reports()
+        assert main(["check-file", str(path), *args]) == code
+        assert reports() == want
 
 
 # -- environment override ------------------------------------------------------------

@@ -77,6 +77,32 @@ def test_verify_range_rejects_bad_range() -> None:
         fp.verify_range(p, 7, 7.0, 8)
     with pytest.raises(TypeError):
         fp.verify_range(p, 7, 7, 8.0)
+    for d in (0, -3):
+        with pytest.raises(fp.InvalidThreshold):
+            fp.verify_range(p, d, 1, 3)
+
+
+def test_node_caps_are_integers() -> None:
+    # A float cap is refused, not compared with node counts; a numpy integer
+    # acts as the int it holds.
+    p = fp.build_protocol_b(7)
+    fin = fp.Configuration.from_pairs({p.state_named("FINAL"): 7})
+    for cap in (2.5, 1e6):
+        with pytest.raises(TypeError):
+            fp.reach(p, 5, node_cap=cap)
+        with pytest.raises(TypeError):
+            fp.encounter_trace(p, 7, fin, node_cap=cap)
+        with pytest.raises(TypeError):
+            fp.verify_range(p, 7, 1, 3, node_cap=cap)
+    for cap in (10, 20):  # n = 7 and n = 8 are the first sizes over the cap
+        got = [replace(r, elapsed=0.0) for r in fp.verify_range(p, 7, 5, 10, node_cap=np.int64(cap))]
+        assert got == [replace(r, elapsed=0.0) for r in fp.verify_range(p, 7, 5, 10, node_cap=cap)]
+        assert all(type(r.nodes_explored) is int for r in got)
+    assert fp.encounter_trace(p, 7, fin, node_cap=np.int64(18)) == fp.encounter_trace(p, 7, fin)
+    with pytest.raises(fp.CapExceeded) as exc:
+        fp.reach(p, 10, node_cap=np.int64(10))
+    assert type(exc.value.node_cap) is int
+    assert str(exc.value).endswith("exceeds node cap 10")
 
 
 def test_verify_range_past_the_population_limit_fails_before_searching(monkeypatch) -> None:
